@@ -69,10 +69,11 @@ int main(int Argc, char **Argv) {
               Report.predictedShortPercent(), Report.errorPercent());
 
   CostModel Costs;
-  BaselineSimResult Bsd = simulateBsd(Test, Costs);
-  BaselineSimResult FF = simulateFirstFit(Test, Costs);
+  CompiledTrace Compiled(Test, DB.policy());
+  BaselineSimResult Bsd = simulateBsd(Compiled, Costs);
+  BaselineSimResult FF = simulateFirstFit(Compiled, Costs);
   ArenaSimResult Arena =
-      simulateArena(Test, DB, Model.CallsPerAlloc, Costs);
+      simulateArena(Compiled, DB, Model.CallsPerAlloc, Costs);
 
   TableFormatter Table({"Allocator", "MaxHeap(K)", "instr/alloc",
                         "instr/free", "instr/(a+f)", "Arena%"});

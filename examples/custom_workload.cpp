@@ -113,9 +113,10 @@ int main() {
   // And what does the arena allocator buy at the best length?
   PipelineResult Best =
       trainAndEvaluate(Train, Test, SiteKeyPolicy::lastN(4));
+  CompiledTrace Compiled(Test, Best.Database.policy());
   ArenaSimResult Arena =
-      simulateArena(Test, Best.Database, Model.CallsPerAlloc);
-  BaselineSimResult FF = simulateFirstFit(Test);
+      simulateArena(Compiled, Best.Database, Model.CallsPerAlloc);
+  BaselineSimResult FF = simulateFirstFit(Compiled);
   std::printf("\narena allocator: %.1f%% of objects in arenas; "
               "alloc+free %.0f instr vs first fit's %.0f\n",
               Arena.arenaAllocPercent(), Arena.InstrLen4.total(),

@@ -41,9 +41,12 @@ int main() {
               Result.Report.errorPercent());
 
   // 3. Simulate the paper's arena allocator against plain first fit.
+  //    Compile the trace once (schedule plus site keys under the database's
+  //    policy); every replay shares it.
+  CompiledTrace Compiled(Trace, Result.Database.policy());
   ArenaSimResult Arena =
-      simulateArena(Trace, Result.Database, /*CallsPerAlloc=*/5);
-  BaselineSimResult FirstFit = simulateFirstFit(Trace);
+      simulateArena(Compiled, Result.Database, /*CallsPerAlloc=*/5);
+  BaselineSimResult FirstFit = simulateFirstFit(Compiled);
   std::printf("\narena allocator: %.1f%% of objects bump-allocated in the "
               "64 KB arena area\n",
               Arena.arenaAllocPercent());

@@ -52,18 +52,17 @@
 //       the text report to a file, --trace-out adds chrome://tracing
 //       arena-occupancy spans.
 //   trace_tool drift <program|all> [--scale=S] [--seed=N] [--jobs=J]
-//                       [--drift-window=B] [--drift-shape=SHAPE]
+//                       [--drift-window=B]
 //                       [--json=F] [--drift-out=F] [--trace-out=F]
 //       Run the Table 7 workload with the prediction drift observatory
 //       attached: per-byte-clock-window confusion timelines, rolling
 //       accuracy with CUSUM change-point flags, per-site observed-vs-
 //       trained lifetime-quantile divergence, and misprediction cost
 //       attribution (bytes pinned by false-shorts; bytes a correct short
-//       call would have arena'd).  --drift-shape picks the drive path
-//       (memory, stream, batch, or shard) — all four produce byte-
-//       identical reports at any --jobs.  --json writes a
-//       bench_compare-gateable report, --drift-out an ordered drift JSON,
-//       --trace-out chrome://tracing accuracy/pinned-bytes tracks.
+//       call would have arena'd); reports are byte-identical at any
+//       --jobs.  --json writes a bench_compare-gateable report,
+//       --drift-out an ordered drift JSON, --trace-out chrome://tracing
+//       accuracy/pinned-bytes tracks.
 //   trace_tool retrain <program|all> [--scale=S] [--seed=N] [--jobs=J]
 //                         [--window=B] [--limit=N] [--json=F]
 //                         [--retrain-out=F] [--trace-out=F]
@@ -145,8 +144,7 @@ int usage() {
                "[--trace-out=F]\n"
                "       trace_tool drift <program|all> [--scale=S] "
                "[--seed=N] [--jobs=J]\n"
-               "                        [--drift-window=B] "
-               "[--drift-shape=memory|stream|batch|shard]\n"
+               "                        [--drift-window=B]\n"
                "                        [--json=F] [--drift-out=F] "
                "[--trace-out=F]\n"
                "       trace_tool retrain <program|all> [--scale=S] "
@@ -197,7 +195,7 @@ int runAudit(const CommandLine &Cl, const std::string &Target) {
     SimTelemetry Telemetry;
     Telemetry.Registry = &PerProgram[Index];
     Telemetry.Recorder = Recorders[Index].get();
-    simulateArena(All[Index].Test, DBs[Index],
+    simulateArena(CompiledTrace(All[Index].Test, Policy), DBs[Index],
                   All[Index].Model.CallsPerAlloc, CostModel(),
                   ArenaAllocator::Config(), &Telemetry);
   });
@@ -243,98 +241,13 @@ int runAudit(const CommandLine &Cl, const std::string &Target) {
   return 0;
 }
 
-/// How a drift replay feeds the observatory.  Every shape reduces to the
-/// same per-allocation recordAlloc stream — a pure function of (trace,
-/// predicted bits, threshold) — so their observatories are byte-identical;
-/// the shapes exist to prove the windowed merge is drive-order invariant.
-enum class DriftShape { Memory, Stream, Batch, Shard };
-
-/// The pure drift fill over schedule events [First, Last).
-void fillDriftRange(const EventSchedule &Schedule,
-                    const AllocationTrace &Trace,
-                    const PredictedShortBits &Predicted, uint64_t Threshold,
-                    DriftObservatory &Obs, size_t First, size_t Last) {
-  const uint32_t *Ids = Schedule.taggedIds();
-  const uint64_t *Clocks = Schedule.clocks();
-  const AllocRecord *Records = Trace.records().data();
-  for (size_t Event = First; Event < Last; ++Event) {
-    uint32_t Tagged = Ids[Event];
-    if (Tagged & EventSchedule::FreeBit)
-      continue;
-    const AllocRecord &Record = Records[Tagged];
-    Obs.recordAlloc(Clocks[Event], Record.ChainIndex, Record.Size,
-                    Predicted.test(Tagged), Record.Lifetime,
-                    Record.Lifetime <= Threshold);
-  }
-}
-
-/// Batched drive shape: same stream via forEachEventBatched's permuted
-/// within-batch order (windowed adds commute, so the result is identical).
-class DriftBatchConsumer : public ScheduleConsumer<DriftBatchConsumer> {
-public:
-  DriftBatchConsumer(const AllocationTrace &Trace,
-                     const PredictedShortBits &Predicted, uint64_t Threshold,
-                     DriftObservatory &Obs)
-      : Records(Trace.records().data()), Predicted(Predicted),
-        Threshold(Threshold), Obs(Obs) {}
-
-  /// Two routes keyed by the predicted bit: the batched replay genuinely
-  /// permutes within-batch event order, so equality with the sequential
-  /// shape demonstrates the observatory's updates commute.
-  uint32_t routeCount() const { return 2; }
-  uint32_t routeOf(uint32_t Tagged) const {
-    if (Tagged & EventSchedule::FreeBit)
-      return 0;
-    return Predicted.test(Tagged) ? 1u : 0u;
-  }
-
-  void onAlloc(uint32_t Id, uint64_t Clock) {
-    const AllocRecord &Record = Records[Id];
-    Obs.recordAlloc(Clock, Record.ChainIndex, Record.Size,
-                    Predicted.test(Id), Record.Lifetime,
-                    Record.Lifetime <= Threshold);
-  }
-
-  void onFree(uint32_t, uint64_t) {}
-
-private:
-  const AllocRecord *Records;
-  const PredictedShortBits &Predicted;
-  uint64_t Threshold;
-  DriftObservatory &Obs;
-};
-
-/// Fixed shard width for the sharded drive shape — independent of --jobs,
-/// so shard boundaries (and the merged result) never depend on the worker
-/// count.
-constexpr size_t DriftShardEvents = 64 * 1024;
-
 /// The drift subcommand: the Table 7 train/test workload scored window by
 /// window.  One observatory per program, reports printed and exported in
-/// program order, so output is bit-identical at any --jobs and across
-/// every --drift-shape.
+/// program order, so output is bit-identical at any --jobs.
 int runDrift(const CommandLine &Cl, const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
   if (Target != "all")
     Options.OnlyProgram = Target;
-
-  const std::string ShapeName = Cl.getString("drift-shape", "memory");
-  DriftShape Shape;
-  if (ShapeName == "memory")
-    Shape = DriftShape::Memory;
-  else if (ShapeName == "stream")
-    Shape = DriftShape::Stream;
-  else if (ShapeName == "batch")
-    Shape = DriftShape::Batch;
-  else if (ShapeName == "shard")
-    Shape = DriftShape::Shard;
-  else {
-    std::fprintf(stderr,
-                 "error: unknown --drift-shape '%s' (expected memory, "
-                 "stream, batch, or shard)\n",
-                 ShapeName.c_str());
-    return 1;
-  }
 
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   ThreadPool Pool(Options.Jobs);
@@ -348,7 +261,6 @@ int runDrift(const CommandLine &Cl, const std::string &Target) {
   JsonReport Report("drift", Options);
 
   std::vector<Profile> TrainProfiles(All.size());
-  std::vector<SiteDatabase> DBs(All.size());
   std::vector<StatsRegistry> PerProgram(All.size());
   std::vector<std::unique_ptr<DriftObservatory>> Observatories(All.size());
 
@@ -357,82 +269,21 @@ int runDrift(const CommandLine &Cl, const std::string &Target) {
     Events += replayEventCount(Traces.Test);
   double Start = wallTimeSeconds();
 
-  auto driftConfigFor = [&Options](const EventSchedule &Schedule,
-                                   const SiteDatabase &DB) {
+  parallelForIndex(Pool, All.size(), [&](size_t Index) {
+    TrainProfiles[Index] = profileTrace(All[Index].Train, Policy);
+    SiteDatabase DB = trainDatabase(TrainProfiles[Index], Policy);
+    CompiledTrace Compiled(All[Index].Test, Policy);
     DriftConfig Config;
-    Config.EndClock = Schedule.endClock();
+    Config.EndClock = Compiled.schedule().endClock();
     Config.WindowBytes = Options.DriftWindowBytes;
     Config.Threshold = DB.threshold();
-    return Config;
-  };
-
-  if (Shape != DriftShape::Shard) {
-    parallelForIndex(Pool, All.size(), [&](size_t Index) {
-      TrainProfiles[Index] = profileTrace(All[Index].Train, Policy);
-      DBs[Index] = trainDatabase(TrainProfiles[Index], Policy);
-      const SiteDatabase &DB = DBs[Index];
-      CompiledTrace Compiled(All[Index].Test, Policy);
-      const EventSchedule &Schedule = Compiled.schedule();
-      auto Obs = std::make_unique<DriftObservatory>(
-          driftConfigFor(Schedule, DB));
-      switch (Shape) {
-      case DriftShape::Memory: {
-        SimTelemetry Telemetry;
-        Telemetry.Registry = &PerProgram[Index];
-        Telemetry.Drift = Obs.get();
-        simulateArena(Compiled, DB, All[Index].Model.CallsPerAlloc,
-                      CostModel(), ArenaAllocator::Config(), &Telemetry);
-        break;
-      }
-      case DriftShape::Stream: {
-        PredictedShortBits Predicted(Compiled, DB);
-        fillDriftRange(Schedule, All[Index].Test, Predicted, DB.threshold(),
-                       *Obs, 0, Schedule.size());
-        break;
-      }
-      case DriftShape::Batch: {
-        PredictedShortBits Predicted(Compiled, DB);
-        DriftBatchConsumer Consumer(All[Index].Test, Predicted,
-                                    DB.threshold(), *Obs);
-        forEachEventBatched(Schedule, Consumer, DriftShardEvents);
-        break;
-      }
-      case DriftShape::Shard:
-        break; // Handled below; unreachable here.
-      }
-      Observatories[Index] = std::move(Obs);
-    });
-  } else {
-    // Sharded shape: programs serial, shards fan out on the pool, merged
-    // in shard-index order.  Shard boundaries are fixed event counts, so
-    // the merged observatory is identical at any --jobs.
-    parallelForIndex(Pool, All.size(), [&](size_t Index) {
-      TrainProfiles[Index] = profileTrace(All[Index].Train, Policy);
-      DBs[Index] = trainDatabase(TrainProfiles[Index], Policy);
-    });
-    for (size_t Index = 0; Index < All.size(); ++Index) {
-      const SiteDatabase &DB = DBs[Index];
-      CompiledTrace Compiled(All[Index].Test, Policy);
-      const EventSchedule &Schedule = Compiled.schedule();
-      PredictedShortBits Predicted(Compiled, DB);
-      DriftConfig Config = driftConfigFor(Schedule, DB);
-      auto Obs = std::make_unique<DriftObservatory>(Config);
-      size_t Shards =
-          (Schedule.size() + DriftShardEvents - 1) / DriftShardEvents;
-      std::vector<std::unique_ptr<DriftObservatory>> PerShard(Shards);
-      parallelForIndex(Pool, Shards, [&](size_t Shard) {
-        auto Local = std::make_unique<DriftObservatory>(Config);
-        size_t First = Shard * DriftShardEvents;
-        size_t Last = std::min(Schedule.size(), First + DriftShardEvents);
-        fillDriftRange(Schedule, All[Index].Test, Predicted, DB.threshold(),
-                       *Local, First, Last);
-        PerShard[Shard] = std::move(Local);
-      });
-      for (const auto &Local : PerShard)
-        Obs->merge(*Local);
-      Observatories[Index] = std::move(Obs);
-    }
-  }
+    Observatories[Index] = std::make_unique<DriftObservatory>(Config);
+    SimTelemetry Telemetry;
+    Telemetry.Registry = &PerProgram[Index];
+    Telemetry.Drift = Observatories[Index].get();
+    simulateArena(Compiled, DB, All[Index].Model.CallsPerAlloc, CostModel(),
+                  ArenaAllocator::Config(), &Telemetry);
+  });
   Report.setThroughput(Events, wallTimeSeconds() - Start);
 
   std::string DriftJson = "{\n  \"schema_version\": 1,\n  \"reports\": [\n";
@@ -504,9 +355,9 @@ int runDrift(const CommandLine &Cl, const std::string &Target) {
 
 /// The retrain subcommand: online-prediction forensics.  The warm-started
 /// model is compiled once per program into a frozen route plan (the same
-/// pass every replay shape consumes), and the report shows exactly which
-/// sites the CUSUM flagged, when, on what evidence, and what the applied
-/// re-routes bought against the static database.
+/// pass the online arena replay consumes), and the report shows exactly
+/// which sites the CUSUM flagged, when, on what evidence, and what the
+/// applied re-routes bought against the static database.
 int runRetrain(const CommandLine &Cl, const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
   if (Target != "all")

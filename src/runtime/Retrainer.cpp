@@ -59,7 +59,7 @@ public:
                         const std::vector<SiteKey> &Keys)
       : Builder(Builder), Records(Trace.records().data()), Keys(Keys.data()) {}
 
-  void onAlloc(uint32_t Id, uint64_t Clock) {
+  void onAlloc(uint32_t Id, uint32_t, uint64_t Clock) {
     Builder.alloc(Id, Keys[Id], Clock);
   }
   void onFree(uint32_t Id, uint64_t Clock) {
@@ -127,7 +127,7 @@ OnlineRoutePlan lifepred::compileOnlineRoutes(const CompiledTrace &Compiled,
   RoutePlanBuilder Builder(Predictor, Compiled.trace().size());
   CompiledRouteConsumer Consumer(Builder, Compiled.trace(),
                                  Compiled.recordKeys());
-  forEachEvent(Compiled.schedule(), Consumer);
+  forEachEvent(Compiled, Consumer);
   return sealPlan(Predictor, Builder, Compiled.trace().size());
 }
 

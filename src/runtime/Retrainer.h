@@ -13,10 +13,10 @@
 /// and materializes the outcome as an immutable per-record route plan:
 /// one routed-short bit per trace record (the route the record's site held
 /// at the record's birth), plus the full retrain timeline and per-site
-/// forensics.  Every replay shape — oracle, compiled, batched, sharded,
-/// streamed — then consumes the frozen artifact, and the merged telemetry
-/// is byte-identical at any worker count because the plan is a pure
-/// function of the event stream (DESIGN.md §17).
+/// forensics.  The compiled arena simulator and the shadow oracle then
+/// consume the frozen artifact, and their telemetry is byte-identical at
+/// any worker count because the plan is a pure function of the event
+/// stream (DESIGN.md §17).
 ///
 /// Two drivers produce the plan: compileOnlineRoutes walks the compiled
 /// flat schedule; replayOnlineRoutesOracle drives the replayTrace

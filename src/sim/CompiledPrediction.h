@@ -58,9 +58,8 @@ private:
 /// database probe.  Same bit-packed shape and test() contract as
 /// PredictedShortBits, so the simulators template over either; wrapping
 /// the plan's words here keeps sim/ free of any runtime/ dependency.
-/// Because the words are an immutable pure function of the event stream,
-/// every replay shape — including the sharded and streamed ones — can
-/// consume mid-run re-routes while staying byte-identical at any --jobs.
+/// The words are an immutable pure function of the event stream, so a
+/// replay of them is byte-identical at any --jobs.
 class DynamicRouteBits {
 public:
   DynamicRouteBits() = default;
@@ -73,29 +72,9 @@ public:
     return (Words[Id >> 6] >> (Id & 63)) & 1;
   }
 
-  const std::vector<uint64_t> &words() const { return Words; }
-
 private:
   std::vector<uint64_t> Words;
 };
-
-/// Applies dynamic routes on top of statically compiled bands (the
-/// multi-arena consumer's override lane): a record re-routed *long* goes
-/// to the general heap regardless of its static band; a record re-routed
-/// *short* keeps its static band, or falls into \p FallbackBand (callers
-/// pass the widest band) when the static classifier had left it
-/// unclassified.
-inline std::vector<LifetimeClass>
-overrideBands(std::vector<LifetimeClass> Bands, const DynamicRouteBits &Routes,
-              LifetimeClass FallbackBand) {
-  for (size_t Id = 0; Id < Bands.size(); ++Id) {
-    if (!Routes.test(Id))
-      Bands[Id] = UnclassifiedLifetime;
-    else if (Bands[Id] == UnclassifiedLifetime)
-      Bands[Id] = FallbackBand;
-  }
-  return Bands;
-}
 
 /// One lifetime band per trace record, as classified by a ClassDatabase —
 /// the multi-arena analogue of PredictedShortBits.

@@ -16,84 +16,65 @@ using namespace lifepred;
 
 namespace {
 
-/// Uninstrumented banded replay: band verdict is one table load.
-class PlainMultiArenaConsumer
-    : public ScheduleConsumer<PlainMultiArenaConsumer> {
+/// Banded replay: the band verdict is one table load.  The observed
+/// instantiation adds outcomes, timeline, and flight recorder.
+template <bool Observed>
+class MultiArenaConsumer
+    : public ScheduleConsumer<MultiArenaConsumer<Observed>> {
 public:
-  PlainMultiArenaConsumer(MultiArenaAllocator &Allocator,
-                          const AllocationTrace &Trace,
-                          const std::vector<LifetimeClass> &Bands)
-      : Allocator(Allocator), Records(Trace.records().data()),
-        Bands(Bands.data()) {
-    Addresses.resize(Trace.size());
-  }
-
-  void onAlloc(uint32_t Id, uint64_t) {
-    Addresses[Id] = Allocator.allocate(Records[Id].Size, Bands[Id]);
-    raisePeak(MaxLive, Allocator.liveBytes());
-  }
-
-  void onFree(uint32_t Id, uint64_t) { Allocator.free(Addresses[Id]); }
-
-  uint64_t maxLiveBytes() const { return MaxLive; }
-
-private:
-  MultiArenaAllocator &Allocator;
-  const AllocRecord *Records;
-  const LifetimeClass *Bands;
-  std::vector<uint64_t> Addresses;
-  uint64_t MaxLive = 0;
-};
-
-/// Instrumented banded replay: outcomes, timeline, flight recorder.
-class InstrumentedMultiArenaConsumer
-    : public ScheduleConsumer<InstrumentedMultiArenaConsumer> {
-public:
-  InstrumentedMultiArenaConsumer(MultiArenaAllocator &Allocator,
-                                 const AllocationTrace &Trace,
-                                 const ClassDatabase &DB,
-                                 const std::vector<LifetimeClass> &Bands,
-                                 SimTelemetry *Telemetry)
+  MultiArenaConsumer(MultiArenaAllocator &Allocator,
+                     const AllocationTrace &Trace, const ClassDatabase &DB,
+                     const std::vector<LifetimeClass> &Bands,
+                     SimTelemetry *Telemetry)
       : Allocator(Allocator), Records(Trace.records().data()), DB(DB),
         Bands(Bands.data()), Telemetry(Telemetry),
         Recorder(Telemetry ? Telemetry->Recorder : nullptr),
-        Latency(Telemetry ? Telemetry->Latency : nullptr) {
-    Addresses.resize(Trace.size());
-  }
+        Latency(Telemetry ? Telemetry->Latency : nullptr),
+        Addresses(Trace.size()) {}
 
-  void onAlloc(uint32_t Id, uint64_t Clock) {
-    const AllocRecord &Record = Records[Id];
+  void onAlloc(uint32_t Id, uint32_t Size, uint64_t Clock) {
     LifetimeClass Band = Bands[Id];
-    if (Recorder)
-      Recorder->beginEvent(Clock);
-    Addresses[Id] = timedAllocatorOp(Latency, LatencyRecorder::OpAlloc, [&] {
-      return Allocator.allocate(Record.Size, Band);
+    if constexpr (Observed) {
+      if (Recorder)
+        Recorder->beginEvent(Clock);
+    }
+    Addresses[Id] = timedAllocatorOp(latency(), LatencyRecorder::OpAlloc, [&] {
+      return Allocator.allocate(Size, Band);
     });
     raisePeak(MaxLive, Allocator.liveBytes());
-    if (Telemetry) {
+    if constexpr (Observed) {
+      const AllocRecord &Record = Records[Id];
       recordOutcome(Record, Band, Clock);
       observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
+      if (Recorder)
+        recordAudit(Id, Record, Clock, Band);
     }
-    if (Recorder)
-      recordAudit(Id, Record, Clock, Band);
   }
 
   void onFree(uint32_t Id, uint64_t Clock) {
-    timedAllocatorOp(Latency, LatencyRecorder::OpFree,
+    timedAllocatorOp(latency(), LatencyRecorder::OpFree,
                      [&] { Allocator.free(Addresses[Id]); });
-    observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
-    if (Recorder)
-      Recorder->recordFree(Id, Clock);
+    if constexpr (Observed) {
+      observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
+      if (Recorder)
+        Recorder->recordFree(Id, Clock);
+    }
   }
 
   void onEnd(uint64_t Clock) {
-    if (Recorder)
-      Recorder->finish(Clock);
+    if constexpr (Observed) {
+      if (Recorder)
+        Recorder->finish(Clock);
+    }
   }
 
   uint64_t maxLiveBytes() const { return MaxLive; }
 
 private:
+  /// The latency sink; a compile-time null when unobserved, so the timing
+  /// folds away.
+  LatencyRecorder *latency() const { return Observed ? Latency : nullptr; }
+
   void recordOutcome(const AllocRecord &Record, LifetimeClass Band,
                      uint64_t Clock) {
     const std::vector<uint64_t> &Thresholds = DB.thresholds();
@@ -156,16 +137,6 @@ lifepred::simulateMultiArena(const CompiledTrace &Compiled,
                              const ClassDatabase &DB,
                              MultiArenaAllocator::Config Config,
                              SimTelemetry *Telemetry) {
-  return simulateMultiArena(Compiled, DB, compileBands(Compiled, DB), Config,
-                            Telemetry);
-}
-
-MultiArenaSimResult
-lifepred::simulateMultiArena(const CompiledTrace &Compiled,
-                             const ClassDatabase &DB,
-                             const std::vector<LifetimeClass> &Bands,
-                             MultiArenaAllocator::Config Config,
-                             SimTelemetry *Telemetry) {
   MultiArenaAllocator Allocator(Config);
   if (Telemetry && Telemetry->Registry)
     Allocator.attachTelemetry(*Telemetry->Registry, "multiarena.");
@@ -176,15 +147,16 @@ lifepred::simulateMultiArena(const CompiledTrace &Compiled,
           Allocator.bandArenaBytes(static_cast<uint8_t>(Band)));
     Allocator.attachLifecycle(Telemetry->Recorder);
   }
+  const std::vector<LifetimeClass> Bands = compileBands(Compiled, DB);
+  const AllocationTrace &Trace = Compiled.trace();
   uint64_t MaxLive = 0;
-  if (!Telemetry) {
-    PlainMultiArenaConsumer Consumer(Allocator, Compiled.trace(), Bands);
-    forEachEvent(Compiled.schedule(), Consumer);
+  if (Telemetry) {
+    MultiArenaConsumer<true> Consumer(Allocator, Trace, DB, Bands, Telemetry);
+    forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   } else {
-    InstrumentedMultiArenaConsumer Consumer(Allocator, Compiled.trace(), DB,
-                                            Bands, Telemetry);
-    forEachEvent(Compiled.schedule(), Consumer);
+    MultiArenaConsumer<false> Consumer(Allocator, Trace, DB, Bands, nullptr);
+    forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   }
   if (Telemetry && Telemetry->Registry) {
@@ -205,13 +177,4 @@ lifepred::simulateMultiArena(const CompiledTrace &Compiled,
   Result.GeneralBytes = Allocator.generalBytes();
   Result.General = Allocator.general().counters();
   return Result;
-}
-
-MultiArenaSimResult
-lifepred::simulateMultiArena(const AllocationTrace &Trace,
-                             const ClassDatabase &DB,
-                             MultiArenaAllocator::Config Config,
-                             SimTelemetry *Telemetry) {
-  return simulateMultiArena(CompiledTrace(Trace, DB.policy()), DB, Config,
-                            Telemetry);
 }

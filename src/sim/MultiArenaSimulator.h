@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Trace-driven simulation of the multi-band arena allocator with a
-/// trained ClassDatabase deciding each allocation's lifetime band.  Like
-/// the simulators in TraceSimulator.h, the fast entry point takes a
-/// CompiledTrace (band verdicts pre-resolved per record, no per-event
-/// classifier probes) and a convenience overload compiles on the spot.
+/// trained ClassDatabase deciding each allocation's lifetime band: the
+/// multi-arena row of the entry-point table in sim/TraceSimulator.h.  Band
+/// verdicts are pre-resolved per record, so the replay performs no
+/// classifier probes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 
 #include "alloc/MultiArenaAllocator.h"
 #include "core/LifetimeClassifier.h"
-#include "trace/AllocationTrace.h"
 #include "trace/CompiledTrace.h"
 
 #include <vector>
@@ -57,27 +56,6 @@ struct MultiArenaSimResult {
 /// any band's threshold would have covered it.
 MultiArenaSimResult
 simulateMultiArena(const CompiledTrace &Compiled, const ClassDatabase &DB,
-                   MultiArenaAllocator::Config Config =
-                       MultiArenaAllocator::Config(),
-                   SimTelemetry *Telemetry = nullptr);
-
-/// Convenience overload: compiles \p Trace under DB's policy, then
-/// simulates.
-MultiArenaSimResult
-simulateMultiArena(const AllocationTrace &Trace, const ClassDatabase &DB,
-                   MultiArenaAllocator::Config Config =
-                       MultiArenaAllocator::Config(),
-                   SimTelemetry *Telemetry = nullptr);
-
-/// Precomputed-bands overload: replays with \p Bands (one LifetimeClass
-/// per record) instead of re-deriving them from \p DB — the banded
-/// dynamic-override lane.  Callers compose compileBands with
-/// overrideBands (sim/CompiledPrediction.h) to fold an online route plan
-/// into the static classification; \p DB still supplies the band
-/// thresholds for outcome telemetry.  \p Bands must cover every record.
-MultiArenaSimResult
-simulateMultiArena(const CompiledTrace &Compiled, const ClassDatabase &DB,
-                   const std::vector<LifetimeClass> &Bands,
                    MultiArenaAllocator::Config Config =
                        MultiArenaAllocator::Config(),
                    SimTelemetry *Telemetry = nullptr);

@@ -124,7 +124,7 @@ void probeHeapSpans(const AllocatorSim &Allocator, uint64_t Clock,
 /// \p Clock.  One fragmentation/heatmap scan shares a single span walk.
 /// \p ArenaBytes is supplied by the caller because only the arena
 /// allocators have the concept.  Null-telemetry calls return immediately;
-/// the instrumented consumers pay three compares per event when all sinks
+/// the observed consumers pay three compares per event when all sinks
 /// are attached.
 void observeSample(SimTelemetry *Telemetry, uint64_t Clock,
                    const AllocatorSim &Allocator, uint64_t ArenaBytes);

@@ -22,53 +22,6 @@ using namespace lifepred;
 
 namespace {
 
-/// Sequential chunk-by-chunk replay of \p File into \p Allocator — the same
-/// allocator calls, in the same order, as the in-memory consumers, with a
-/// slot-indexed address table instead of an O(trace) id-indexed one.
-/// Returns the observed live-byte peak.
-template <bool Instrumented, typename AllocatorT>
-uint64_t replayStream(const ScheduleFile &File, AllocatorT &Allocator,
-                      SimTelemetry *Telemetry) {
-  std::vector<uint64_t> Slots(File.slotCount());
-  uint64_t MaxLive = 0;
-  LatencyRecorder *Latency =
-      Instrumented && Telemetry ? Telemetry->Latency : nullptr;
-  File.adviseSequential();
-  for (uint64_t Chunk = 0; Chunk < File.chunkCount(); ++Chunk) {
-    const ScheduleEvent *Events = File.chunkEvents(Chunk);
-    const uint64_t Count = File.chunk(Chunk).EventCount;
-    for (uint64_t I = 0; I < Count; ++I) {
-      const ScheduleEvent &Event = Events[I];
-      if (Event.TaggedSlot & EventSchedule::FreeBit) {
-        timedAllocatorOp(Latency, LatencyRecorder::OpFree, [&] {
-          Allocator.free(Slots[Event.TaggedSlot & ~EventSchedule::FreeBit]);
-        });
-        // Frees sample too, matching the in-memory consumers: the trace
-        // tail is all frees and the observatory must see the heap drain.
-        if (Instrumented)
-          observeSample(Telemetry, Event.Clock, Allocator, /*ArenaBytes=*/0);
-      } else {
-        Slots[Event.TaggedSlot] =
-            timedAllocatorOp(Latency, LatencyRecorder::OpAlloc,
-                             [&] { return Allocator.allocate(Event.Size); });
-        raisePeak(MaxLive, Allocator.liveBytes());
-        if (Instrumented)
-          observeSample(Telemetry, Event.Clock, Allocator, /*ArenaBytes=*/0);
-      }
-    }
-    File.dropChunk(Chunk);
-  }
-  return MaxLive;
-}
-
-template <typename AllocatorT>
-uint64_t replayStream(const ScheduleFile &File, AllocatorT &Allocator,
-                      SimTelemetry *Telemetry) {
-  if (Telemetry)
-    return replayStream<true>(File, Allocator, Telemetry);
-  return replayStream<false>(File, Allocator, nullptr);
-}
-
 /// The batched Kingsley replay core: BsdAllocator's exact accounting with
 /// bitmap free lists and a flat slot-indexed live table — no hash map.
 /// Shared by the single-heap fast path and the sharded workers.
@@ -114,10 +67,14 @@ public:
     Slots[Slot] = allocCell(Size, Bucket);
   }
 
-  /// Replays \p Count events in batches of \p BatchEvents, each batch
-  /// stably partitioned by size class (the forEachEventBatched invariance
-  /// argument: per-class order is preserved, so counters and final state
-  /// match the sequential replay bit-for-bit).
+  /// Replays chunk \p Chunk of \p File in batches of \p BatchEvents, each
+  /// batch stably partitioned by size class.  Within one class the event
+  /// order is exactly the sequential order, and every Kingsley counter,
+  /// the final heap/live/free-block state, and the class-size histogram is
+  /// either a per-class function of that subsequence or a commutative
+  /// aggregate, so all of them match the sequential replay bit-for-bit.
+  /// Trajectories that mix classes inside a batch (live-byte peaks,
+  /// per-event samples) are not preserved.
   ///
   /// Slot aliasing: the writer recycles slots LIFO, so one batch routinely
   /// holds a free of object A and an alloc of object B on the *same* slot.
@@ -133,8 +90,11 @@ public:
   /// last-alloc-wins in original order.  Renaming never changes which
   /// allocator calls run per class, or their order, so the invariance
   /// argument is untouched.
-  void replayBatched(const ScheduleEvent *Events, uint64_t Count,
+  void replayBatched(const ScheduleFile &File, uint64_t Chunk,
                      size_t BatchEvents) {
+    const ScheduleEvent *Events = File.chunkEvents(Chunk);
+    const uint64_t Count = File.chunk(Chunk).EventCount;
+    const uint64_t SlotCount = Slots.size();
     if (BatchEvents == 0)
       BatchEvents = 1;
     RouteOf.resize(BatchEvents);
@@ -152,12 +112,15 @@ public:
       // once into an 8-byte record — free bit | cell | size — so the later
       // passes never touch the 16-byte ScheduleEvent again.  The free/alloc
       // split is a coin-flip branch in a hot loop, so it is compiled away:
-      // the only real branch left is the carry-in snapshot, which fires once
-      // per object that outlives a batch boundary.
+      // the only real branches left are the slot range check, never taken
+      // on a sound file, and the carry-in snapshot, which fires once per
+      // object that outlives a batch boundary.
       for (uint64_t I = 0; I < Batch; ++I) {
         const ScheduleEvent &Event = Events[Begin + I];
         const bool IsFree = Event.TaggedSlot & EventSchedule::FreeBit;
         const uint32_t Slot = Event.TaggedSlot & ~EventSchedule::FreeBit;
+        if (Slot >= SlotCount)
+          File.rejectEventSlot(Chunk, Slot);
         const uint32_t Bucket = bucketFor(Event.Size);
         RouteOf[I] = static_cast<uint8_t>(Bucket);
         ++Offsets[Bucket + 1];
@@ -331,49 +294,6 @@ private:
 
 } // namespace
 
-StreamSimResult lifepred::streamSimulateFirstFit(
-    const ScheduleFile &File, const CostModel &Costs,
-    FirstFitAllocator::Config Config, SimTelemetry *Telemetry) {
-  FirstFitAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "firstfit.");
-  uint64_t MaxLive = replayStream(File, Allocator, Telemetry);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "firstfit.");
-    exportObservatory(Telemetry, "firstfit.");
-  }
-
-  StreamSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = MaxLive;
-  Result.Events = File.eventCount();
-  Result.FirstFit = Allocator.counters();
-  Result.Instr = Costs.firstFit(Allocator.counters());
-  return Result;
-}
-
-StreamSimResult lifepred::streamSimulateBsd(const ScheduleFile &File,
-                                            const CostModel &Costs,
-                                            BsdAllocator::Config Config,
-                                            SimTelemetry *Telemetry) {
-  BsdAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "bsd.");
-  uint64_t MaxLive = replayStream(File, Allocator, Telemetry);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "bsd.");
-    exportObservatory(Telemetry, "bsd.");
-  }
-
-  StreamSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = MaxLive;
-  Result.Events = File.eventCount();
-  Result.Bsd = Allocator.counters();
-  Result.Instr = Costs.bsd(Allocator.counters());
-  return Result;
-}
-
 StreamSimResult lifepred::streamSimulateBsdBatched(
     const ScheduleFile &File, const CostModel &Costs,
     BsdAllocator::Config Config, size_t BatchEvents,
@@ -386,7 +306,7 @@ StreamSimResult lifepred::streamSimulateBsdBatched(
   File.adviseSequential();
   for (uint64_t Chunk = 0; Chunk < File.chunkCount(); ++Chunk) {
     const uint64_t Count = File.chunk(Chunk).EventCount;
-    Core.replayBatched(File.chunkEvents(Chunk), Count, BatchEvents);
+    Core.replayBatched(File, Chunk, BatchEvents);
     // Observatory samples land on chunk boundaries (the clock of the
     // chunk's last event): batching permutes order *within* a batch, but a
     // chunk boundary is a batch boundary, where heap state is placement-
@@ -471,8 +391,7 @@ ShardedBsdResult lifepred::streamReplayBsdSharded(
     Out.Warmup = Entry.LiveInCount;
     for (uint64_t Chunk = First; Chunk < Last; ++Chunk) {
       const uint64_t Count = File.chunk(Chunk).EventCount;
-      Core.replayBatched(File.chunkEvents(Chunk), Count,
-                         /*BatchEvents=*/8192);
+      Core.replayBatched(File, Chunk, /*BatchEvents=*/8192);
       if (Observe && Count != 0) {
         // Chunk boundaries use the file's global byte clock, so shard
         // samples land on a common grid and shard heatmap columns align.

@@ -6,25 +6,26 @@
 ///
 /// \file
 /// Replays on-disk schedule files (trace/ScheduleFile.h): the billion-event
-/// tier.  Three replay shapes, in increasing speed:
+/// tier.  Three replay shapes, in increasing speed (see the entry-point
+/// table in sim/TraceSimulator.h):
 ///
 ///  * **Sequential streamed** (streamSimulateFirstFit / streamSimulateBsd):
-///    chunk-by-chunk replay making exactly the allocator calls the
-///    in-memory simulators make, in exactly the same order, with the same
-///    telemetry hooks.  Counters and the exported registry are therefore
-///    byte-identical to simulateFirstFit/simulateBsd on the same trace —
-///    the equivalence the schedule tests pin — while resident memory stays
-///    O(chunk + live slots): each chunk's pages are dropped (madvise) once
-///    replayed, and the address table is indexed by *slot*, whose count is
-///    the live-object high-water mark, not the trace length.
+///    the in-memory simulators' own consumer, driven by the ScheduleFile
+///    overload of forEachEvent, so allocator calls, their order, and the
+///    telemetry hooks are those of simulateFirstFit/simulateBsd — counters
+///    and the exported registry are byte-identical on the same trace, the
+///    equivalence the schedule tests pin.  Resident memory stays O(chunk +
+///    live slots): each chunk's pages are dropped once replayed, and the
+///    address table is indexed by slot.  Defined in TraceSimulator.cpp,
+///    next to the consumer they share.
 ///
 ///  * **Batched streamed** (streamSimulateBsdBatched): the Kingsley fast
 ///    path.  Events are processed in batches, stably partitioned by size
-///    class (forEachEventBatched's invariance argument applies unchanged),
-///    the per-class free lists are bitmaps (support/BitmapFreeList.h), and
-///    the live map is a flat slot-indexed array — no hash map on the hot
-///    path.  Counters and exported registry values remain bit-identical to
-///    the sequential BSD replay; live-byte peaks come from the file header.
+///    class, so per-class order is the sequential order; the per-class
+///    free lists are bitmaps (support/BitmapFreeList.h), and the live map
+///    is a flat slot-indexed array — no hash map on the hot path.  Counters
+///    and exported registry values remain bit-identical to the sequential
+///    BSD replay; live-byte peaks come from the file header.
 ///
 ///  * **Sharded** (streamReplayBsdSharded): shards of a *fixed* number of
 ///    chunks replay independently — each worker warms a fresh allocator
@@ -44,6 +45,7 @@
 #include "alloc/BsdAllocator.h"
 #include "alloc/CostModel.h"
 #include "alloc/FirstFitAllocator.h"
+#include "sim/TraceSimulator.h"
 #include "trace/ScheduleFile.h"
 
 #include <cstdint>
@@ -58,14 +60,9 @@ class ThreadPool;
 class StatsRegistry;
 struct SimTelemetry;
 
-/// Results of one streamed baseline replay (mirrors BaselineSimResult).
-struct StreamSimResult {
-  uint64_t MaxHeapBytes = 0;
-  uint64_t MaxLiveBytes = 0;
+/// Results of one streamed baseline replay.
+struct StreamSimResult : BaselineSimResult {
   uint64_t Events = 0; ///< Events replayed (the file's event count).
-  FirstFitAllocator::Counters FirstFit;
-  BsdAllocator::Counters Bsd;
-  InstrPerOp Instr;
 };
 
 /// Streams \p File through a first-fit heap, chunk by chunk.  Telemetry

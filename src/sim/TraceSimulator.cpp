@@ -2,13 +2,16 @@
 //
 // Part of the lifepred project (Barrett & Zorn, PLDI 1993 reproduction).
 //
-// Replays run over the compiled flat schedule (trace/CompiledTrace.h) with
-// concrete consumer types, so the per-event path has no virtual dispatch.
-// Each simulator has a plain consumer — the branch-lean hot path used when
-// no SimTelemetry is attached — and an instrumented consumer carrying the
-// telemetry, timeline, and flight-recorder hooks.  The two make identical
+// Replays run through forEachEvent with concrete consumer types, so the
+// per-event path has no virtual dispatch.  Each allocator family has one
+// consumer, a class template on `bool Observed`: the unobserved
+// instantiation is the branch-lean hot path used when no SimTelemetry is
+// attached, and the observed one adds the telemetry, timeline, and
+// flight-recorder hooks under `if constexpr`.  Both make identical
 // allocator calls in identical order, so Counters agree bit-for-bit; only
-// the observation differs.
+// the observation differs.  The baseline consumer also serves the on-disk
+// source (trace/ScheduleFile.h), which is why streamSimulateFirstFit and
+// streamSimulateBsd are defined here.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +20,11 @@
 #include "core/Profiler.h"
 #include "sim/CompiledPrediction.h"
 #include "sim/SimTelemetry.h"
+#include "sim/StreamReplay.h"
 #include "telemetry/DriftObservatory.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/LatencyRecorder.h"
+#include "trace/ScheduleFile.h"
 
 #include <unordered_set>
 #include <vector>
@@ -28,192 +33,171 @@ using namespace lifepred;
 
 namespace {
 
-/// Uninstrumented replay into any concrete allocator: the hot path.
-template <typename AllocatorT>
-class PlainBaselineConsumer
-    : public ScheduleConsumer<PlainBaselineConsumer<AllocatorT>> {
+/// Replay into a first-fit or BSD heap from either event source: the
+/// address table is indexed by the source's key (record id in memory, slot
+/// on disk) and sized by eventKeyCount.
+template <typename AllocatorT, bool Observed>
+class BaselineConsumer
+    : public ScheduleConsumer<BaselineConsumer<AllocatorT, Observed>> {
 public:
-  PlainBaselineConsumer(AllocatorT &Allocator, const AllocationTrace &Trace)
-      : Allocator(Allocator), Records(Trace.records().data()) {
-    Addresses.resize(Trace.size());
-  }
+  BaselineConsumer(AllocatorT &Allocator, uint64_t KeyCount,
+                   SimTelemetry *Telemetry)
+      : Allocator(Allocator), Telemetry(Telemetry),
+        Latency(Telemetry ? Telemetry->Latency : nullptr),
+        Addresses(KeyCount) {}
 
-  void onAlloc(uint32_t Id, uint64_t) {
-    Addresses[Id] = Allocator.allocate(Records[Id].Size);
+  void onAlloc(uint32_t Key, uint32_t Size, uint64_t Clock) {
+    Addresses[Key] = timedAllocatorOp(latency(), LatencyRecorder::OpAlloc,
+                                      [&] { return Allocator.allocate(Size); });
     raisePeak(MaxLive, Allocator.liveBytes());
+    if constexpr (Observed)
+      observeSample(Telemetry, Clock, Allocator, /*ArenaBytes=*/0);
   }
 
-  void onFree(uint32_t Id, uint64_t) { Allocator.free(Addresses[Id]); }
-
-  uint64_t maxLiveBytes() const { return MaxLive; }
-
-private:
-  AllocatorT &Allocator;
-  const AllocRecord *Records;
-  std::vector<uint64_t> Addresses;
-  uint64_t MaxLive = 0;
-};
-
-/// Instrumented replay: identical allocator calls plus timeline sampling.
-template <typename AllocatorT>
-class InstrumentedBaselineConsumer
-    : public ScheduleConsumer<InstrumentedBaselineConsumer<AllocatorT>> {
-public:
-  InstrumentedBaselineConsumer(AllocatorT &Allocator,
-                               const AllocationTrace &Trace,
-                               SimTelemetry *Telemetry)
-      : Allocator(Allocator), Records(Trace.records().data()),
-        Telemetry(Telemetry),
-        Latency(Telemetry ? Telemetry->Latency : nullptr) {
-    Addresses.resize(Trace.size());
-  }
-
-  void onAlloc(uint32_t Id, uint64_t Clock) {
-    Addresses[Id] = timedAllocatorOp(Latency, LatencyRecorder::OpAlloc, [&] {
-      return Allocator.allocate(Records[Id].Size);
-    });
-    raisePeak(MaxLive, Allocator.liveBytes());
-    observeSample(Telemetry, Clock, Allocator, /*ArenaBytes=*/0);
-  }
-
-  void onFree(uint32_t Id, uint64_t Clock) {
-    timedAllocatorOp(Latency, LatencyRecorder::OpFree,
-                     [&] { Allocator.free(Addresses[Id]); });
+  void onFree(uint32_t Key, uint64_t Clock) {
+    timedAllocatorOp(latency(), LatencyRecorder::OpFree,
+                     [&] { Allocator.free(Addresses[Key]); });
     // Frees shatter and coalesce spans, so the observatory samples on
     // both event kinds — the trace tail is all frees, and alloc-only
     // sampling would never see the heap drain.
-    observeSample(Telemetry, Clock, Allocator, /*ArenaBytes=*/0);
+    if constexpr (Observed)
+      observeSample(Telemetry, Clock, Allocator, /*ArenaBytes=*/0);
   }
 
   uint64_t maxLiveBytes() const { return MaxLive; }
 
 private:
+  /// The latency sink; a compile-time null when unobserved, so the timing
+  /// folds away.
+  LatencyRecorder *latency() const { return Observed ? Latency : nullptr; }
+
   AllocatorT &Allocator;
-  const AllocRecord *Records;
   SimTelemetry *Telemetry;
   LatencyRecorder *Latency;
   std::vector<uint64_t> Addresses;
   uint64_t MaxLive = 0;
 };
 
-/// Runs a baseline replay over \p Compiled, instrumented only when
-/// \p Telemetry is attached, and returns the max live bytes observed.
-template <typename AllocatorT>
-uint64_t replayBaseline(const CompiledTrace &Compiled, AllocatorT &Allocator,
-                        SimTelemetry *Telemetry) {
-  if (!Telemetry) {
-    PlainBaselineConsumer<AllocatorT> Consumer(Allocator, Compiled.trace());
-    forEachEvent(Compiled.schedule(), Consumer);
-    return Consumer.maxLiveBytes();
+/// Replays \p Source into \p Allocator, registered under \p Prefix and
+/// observed only when \p Telemetry is attached; returns the live-byte peak.
+template <typename SourceT, typename AllocatorT>
+uint64_t replayBaseline(const SourceT &Source, AllocatorT &Allocator,
+                        SimTelemetry *Telemetry, const char *Prefix) {
+  if (Telemetry && Telemetry->Registry)
+    Allocator.attachTelemetry(*Telemetry->Registry, Prefix);
+  const uint64_t Keys = eventKeyCount(Source);
+  uint64_t MaxLive = 0;
+  if (Telemetry) {
+    BaselineConsumer<AllocatorT, true> Consumer(Allocator, Keys, Telemetry);
+    forEachEvent(Source, Consumer);
+    MaxLive = Consumer.maxLiveBytes();
+  } else {
+    BaselineConsumer<AllocatorT, false> Consumer(Allocator, Keys, nullptr);
+    forEachEvent(Source, Consumer);
+    MaxLive = Consumer.maxLiveBytes();
   }
-  InstrumentedBaselineConsumer<AllocatorT> Consumer(Allocator,
-                                                    Compiled.trace(),
-                                                    Telemetry);
-  forEachEvent(Compiled.schedule(), Consumer);
-  return Consumer.maxLiveBytes();
+  if (Telemetry && Telemetry->Registry) {
+    Allocator.exportTelemetry(*Telemetry->Registry, Prefix);
+    exportObservatory(Telemetry, Prefix);
+  }
+  return MaxLive;
 }
 
-/// Batch-grouped BSD replay consumer for forEachEventBatched: routes every
-/// event to its Kingsley size class.  No live-byte peak tracking — the
-/// batch partition permutes the live trajectory, so the caller reads the
-/// schedule's precomputed maxLiveBytes() instead.
-class BatchedBsdConsumer : public ScheduleConsumer<BatchedBsdConsumer> {
+template <typename SourceT>
+BaselineSimResult firstFitOver(const SourceT &Source, const CostModel &Costs,
+                               FirstFitAllocator::Config Config,
+                               SimTelemetry *Telemetry) {
+  FirstFitAllocator Allocator(Config);
+  BaselineSimResult Result;
+  Result.MaxLiveBytes =
+      replayBaseline(Source, Allocator, Telemetry, "firstfit.");
+  Result.MaxHeapBytes = Allocator.maxHeapBytes();
+  Result.FirstFit = Allocator.counters();
+  Result.Instr = Costs.firstFit(Allocator.counters());
+  return Result;
+}
+
+template <typename SourceT>
+BaselineSimResult bsdOver(const SourceT &Source, const CostModel &Costs,
+                          BsdAllocator::Config Config,
+                          SimTelemetry *Telemetry) {
+  BsdAllocator Allocator(Config);
+  BaselineSimResult Result;
+  Result.MaxLiveBytes = replayBaseline(Source, Allocator, Telemetry, "bsd.");
+  Result.MaxHeapBytes = Allocator.maxHeapBytes();
+  Result.Bsd = Allocator.counters();
+  Result.Instr = Costs.bsd(Allocator.counters());
+  return Result;
+}
+
+/// Arena replay: the predicted-short verdict is one bit load, the
+/// allocate/free calls are non-virtual.  Templated over the bits provider
+/// so the static lane (PredictedShortBits) and the online dynamic-override
+/// lane (DynamicRouteBits) replay through the identical code path.  The
+/// observed instantiation adds prediction outcomes, timeline, recorder.
+template <typename BitsT, bool Observed>
+class ArenaConsumer
+    : public ScheduleConsumer<ArenaConsumer<BitsT, Observed>> {
 public:
-  BatchedBsdConsumer(BsdAllocator &Allocator, const AllocationTrace &Trace)
-      : Allocator(Allocator), Records(Trace.records().data()) {
-    Addresses.resize(Trace.size());
-  }
+  ArenaConsumer(ArenaAllocator &Allocator, const AllocationTrace &Trace,
+                const SiteDatabase &DB, const BitsT &Predicted,
+                SimTelemetry *Telemetry)
+      : Allocator(Allocator), Records(Trace.records().data()), DB(DB),
+        Predicted(Predicted), Telemetry(Telemetry),
+        Recorder(Telemetry ? Telemetry->Recorder : nullptr),
+        Latency(Telemetry ? Telemetry->Latency : nullptr),
+        Addresses(Trace.size()) {}
 
-  uint32_t routeCount() const { return 40; }
-  uint32_t routeOf(uint32_t Tagged) const {
-    return Allocator.bucketFor(
-        Records[Tagged & ~EventSchedule::FreeBit].Size);
-  }
-
-  void onAlloc(uint32_t Id, uint64_t) {
-    Addresses[Id] = Allocator.allocate(Records[Id].Size);
-  }
-
-  void onFree(uint32_t Id, uint64_t) { Allocator.free(Addresses[Id]); }
-
-private:
-  BsdAllocator &Allocator;
-  const AllocRecord *Records;
-  std::vector<uint64_t> Addresses;
-};
-
-/// Uninstrumented arena replay: the predicted-short verdict is one bit
-/// load, the allocate/free calls are non-virtual, nothing else happens.
-/// Templated over the bits provider so the static lane
-/// (PredictedShortBits) and the online dynamic-override lane
-/// (DynamicRouteBits) replay through the identical code path.
-template <typename BitsT>
-class PlainArenaConsumer : public ScheduleConsumer<PlainArenaConsumer<BitsT>> {
-public:
-  PlainArenaConsumer(ArenaAllocator &Allocator, const AllocationTrace &Trace,
-                     const BitsT &Predicted)
-      : Allocator(Allocator), Records(Trace.records().data()),
-        Predicted(Predicted) {
-    Addresses.resize(Trace.size());
-  }
-
-  void onAlloc(uint32_t Id, uint64_t) {
-    Addresses[Id] = Allocator.allocate(Records[Id].Size, Predicted.test(Id));
+  void onAlloc(uint32_t Id, uint32_t Size, uint64_t Clock) {
+    bool PredictedShort = Predicted.test(Id);
+    if constexpr (Observed) {
+      if (Recorder)
+        // Pin/reset callbacks fire from inside allocate(); give them the
+        // clock this allocation will be recorded at.
+        Recorder->beginEvent(Clock);
+    }
+    Addresses[Id] = timedAllocatorOp(latency(), LatencyRecorder::OpAlloc, [&] {
+      return Allocator.allocate(Size, PredictedShort);
+    });
     raisePeak(MaxLive, Allocator.liveBytes());
+    if constexpr (Observed)
+      observeAlloc(Id, Clock, PredictedShort);
   }
 
-  void onFree(uint32_t Id, uint64_t) { Allocator.free(Addresses[Id]); }
+  void onFree(uint32_t Id, uint64_t Clock) {
+    timedAllocatorOp(latency(), LatencyRecorder::OpFree,
+                     [&] { Allocator.free(Addresses[Id]); });
+    if constexpr (Observed) {
+      observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
+      if (Recorder)
+        Recorder->recordFree(Id, Clock);
+    }
+  }
+
+  void onEnd(uint64_t Clock) {
+    if constexpr (Observed) {
+      if (Recorder)
+        Recorder->finish(Clock);
+    }
+  }
 
   uint64_t maxLiveBytes() const { return MaxLive; }
 
 private:
-  ArenaAllocator &Allocator;
-  const AllocRecord *Records;
-  const BitsT &Predicted;
-  std::vector<uint64_t> Addresses;
-  uint64_t MaxLive = 0;
-};
+  LatencyRecorder *latency() const { return Observed ? Latency : nullptr; }
 
-/// Instrumented arena replay: prediction outcomes, timeline, recorder.
-template <typename BitsT>
-class InstrumentedArenaConsumer
-    : public ScheduleConsumer<InstrumentedArenaConsumer<BitsT>> {
-public:
-  InstrumentedArenaConsumer(ArenaAllocator &Allocator,
-                            const AllocationTrace &Trace,
-                            const SiteDatabase &DB,
-                            const BitsT &Predicted,
-                            SimTelemetry *Telemetry)
-      : Allocator(Allocator), Records(Trace.records().data()), DB(DB),
-        Predicted(Predicted), Telemetry(Telemetry),
-        Recorder(Telemetry ? Telemetry->Recorder : nullptr),
-        Latency(Telemetry ? Telemetry->Latency : nullptr) {
-    Addresses.resize(Trace.size());
-  }
-
-  void onAlloc(uint32_t Id, uint64_t Clock) {
+  void observeAlloc(uint32_t Id, uint64_t Clock, bool PredictedShort) {
     const AllocRecord &Record = Records[Id];
-    bool PredictedShort = Predicted.test(Id);
-    if (Recorder)
-      // Pin/reset callbacks fire from inside allocate(); give them the
-      // clock this allocation will be recorded at.
-      Recorder->beginEvent(Clock);
-    Addresses[Id] = timedAllocatorOp(Latency, LatencyRecorder::OpAlloc, [&] {
-      return Allocator.allocate(Record.Size, PredictedShort);
-    });
-    raisePeak(MaxLive, Allocator.liveBytes());
-    if (Telemetry) {
-      // NeverFreed is the maximal lifetime, so never-freed objects always
-      // classify as actually long-lived.
-      bool ActuallyShort = Record.Lifetime <= DB.threshold();
-      Telemetry->Outcomes.add(PredictedShort, ActuallyShort);
-      Telemetry->PerSite[Record.ChainIndex].add(PredictedShort, ActuallyShort);
-      if (Telemetry->Drift)
-        Telemetry->Drift->recordAlloc(Clock, Record.ChainIndex, Record.Size,
-                                      PredictedShort, Record.Lifetime,
-                                      ActuallyShort);
-      observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
-    }
+    // NeverFreed is the maximal lifetime, so never-freed objects always
+    // classify as actually long-lived.
+    bool ActuallyShort = Record.Lifetime <= DB.threshold();
+    Telemetry->Outcomes.add(PredictedShort, ActuallyShort);
+    Telemetry->PerSite[Record.ChainIndex].add(PredictedShort, ActuallyShort);
+    if (Telemetry->Drift)
+      Telemetry->Drift->recordAlloc(Clock, Record.ChainIndex, Record.Size,
+                                    PredictedShort, Record.Lifetime,
+                                    ActuallyShort);
+    observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
     if (Recorder) {
       AuditPlacement Placement;
       uint64_t Addr = Addresses[Id];
@@ -226,23 +210,6 @@ public:
     }
   }
 
-  void onFree(uint32_t Id, uint64_t Clock) {
-    timedAllocatorOp(Latency, LatencyRecorder::OpFree,
-                     [&] { Allocator.free(Addresses[Id]); });
-    if (Telemetry)
-      observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
-    if (Recorder)
-      Recorder->recordFree(Id, Clock);
-  }
-
-  void onEnd(uint64_t Clock) {
-    if (Recorder)
-      Recorder->finish(Clock);
-  }
-
-  uint64_t maxLiveBytes() const { return MaxLive; }
-
-private:
   ArenaAllocator &Allocator;
   const AllocRecord *Records;
   const SiteDatabase &DB;
@@ -272,15 +239,17 @@ ArenaSimResult simulateArenaWith(const CompiledTrace &Compiled,
                                           Allocator.arenaBytes());
     Allocator.attachLifecycle(Telemetry->Recorder);
   }
+  const AllocationTrace &Trace = Compiled.trace();
   uint64_t MaxLive = 0;
-  if (!Telemetry) {
-    PlainArenaConsumer<BitsT> Consumer(Allocator, Compiled.trace(), Predicted);
-    forEachEvent(Compiled.schedule(), Consumer);
+  if (Telemetry) {
+    ArenaConsumer<BitsT, true> Consumer(Allocator, Trace, DB, Predicted,
+                                        Telemetry);
+    forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   } else {
-    InstrumentedArenaConsumer<BitsT> Consumer(Allocator, Compiled.trace(), DB,
-                                              Predicted, Telemetry);
-    forEachEvent(Compiled.schedule(), Consumer);
+    ArenaConsumer<BitsT, false> Consumer(Allocator, Trace, DB, Predicted,
+                                         nullptr);
+    forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   }
   if (Telemetry && Telemetry->Registry) {
@@ -310,85 +279,27 @@ lifepred::simulateFirstFit(const CompiledTrace &Compiled,
                            const CostModel &Costs,
                            FirstFitAllocator::Config Config,
                            SimTelemetry *Telemetry) {
-  FirstFitAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "firstfit.");
-  uint64_t MaxLive = replayBaseline(Compiled, Allocator, Telemetry);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "firstfit.");
-    exportObservatory(Telemetry, "firstfit.");
-  }
-
-  BaselineSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = MaxLive;
-  Result.FirstFit = Allocator.counters();
-  Result.Instr = Costs.firstFit(Allocator.counters());
-  return Result;
-}
-
-BaselineSimResult
-lifepred::simulateFirstFit(const AllocationTrace &Trace,
-                           const CostModel &Costs,
-                           FirstFitAllocator::Config Config,
-                           SimTelemetry *Telemetry) {
-  return simulateFirstFit(CompiledTrace(Trace), Costs, Config, Telemetry);
+  return firstFitOver(Compiled, Costs, Config, Telemetry);
 }
 
 BaselineSimResult lifepred::simulateBsd(const CompiledTrace &Compiled,
                                         const CostModel &Costs,
                                         BsdAllocator::Config Config,
                                         SimTelemetry *Telemetry) {
-  BsdAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "bsd.");
-  uint64_t MaxLive = replayBaseline(Compiled, Allocator, Telemetry);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "bsd.");
-    exportObservatory(Telemetry, "bsd.");
-  }
-
-  BaselineSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = MaxLive;
-  Result.Bsd = Allocator.counters();
-  Result.Instr = Costs.bsd(Allocator.counters());
-  return Result;
+  return bsdOver(Compiled, Costs, Config, Telemetry);
 }
 
-BaselineSimResult lifepred::simulateBsd(const AllocationTrace &Trace,
-                                        const CostModel &Costs,
-                                        BsdAllocator::Config Config,
-                                        SimTelemetry *Telemetry) {
-  return simulateBsd(CompiledTrace(Trace), Costs, Config, Telemetry);
+StreamSimResult lifepred::streamSimulateFirstFit(
+    const ScheduleFile &File, const CostModel &Costs,
+    FirstFitAllocator::Config Config, SimTelemetry *Telemetry) {
+  return {firstFitOver(File, Costs, Config, Telemetry), File.eventCount()};
 }
 
-BaselineSimResult lifepred::simulateBsdBatched(const CompiledTrace &Compiled,
-                                               const CostModel &Costs,
-                                               BsdAllocator::Config Config,
-                                               size_t BatchEvents,
-                                               SimTelemetry *Telemetry) {
-  BsdAllocator Allocator(Config);
-  if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "bsd.");
-  BatchedBsdConsumer Consumer(Allocator, Compiled.trace());
-  forEachEventBatched(Compiled.schedule(), Consumer, BatchEvents);
-  // Batched replay permutes the event order inside a batch, so mid-replay
-  // heap states are not comparable to the sequential path; the observatory
-  // samples the (placement-consistent) end state once instead.
-  observeSample(Telemetry, Compiled.schedule().endClock(), Allocator,
-                /*ArenaBytes=*/0);
-  if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "bsd.");
-    exportObservatory(Telemetry, "bsd.");
-  }
-
-  BaselineSimResult Result;
-  Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = Compiled.schedule().maxLiveBytes();
-  Result.Bsd = Allocator.counters();
-  Result.Instr = Costs.bsd(Allocator.counters());
-  return Result;
+StreamSimResult lifepred::streamSimulateBsd(const ScheduleFile &File,
+                                            const CostModel &Costs,
+                                            BsdAllocator::Config Config,
+                                            SimTelemetry *Telemetry) {
+  return {bsdOver(File, Costs, Config, Telemetry), File.eventCount()};
 }
 
 ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,
@@ -411,16 +322,6 @@ ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,
                                        SimTelemetry *Telemetry) {
   return simulateArenaWith(Compiled, DB, Routes, CallsPerAlloc, Costs,
                            Config, Telemetry);
-}
-
-ArenaSimResult lifepred::simulateArena(const AllocationTrace &Trace,
-                                       const SiteDatabase &DB,
-                                       double CallsPerAlloc,
-                                       const CostModel &Costs,
-                                       ArenaAllocator::Config Config,
-                                       SimTelemetry *Telemetry) {
-  return simulateArena(CompiledTrace(Trace, DB.policy()), DB, CallsPerAlloc,
-                       Costs, Config, Telemetry);
 }
 
 TrainedQuantileMap

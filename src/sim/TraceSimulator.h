@@ -12,14 +12,27 @@
 /// lifetimes.  The simulation reports heap sizes, arena fractions,
 /// operation counts, and reference-locality accounting.
 ///
-/// Every simulator has two entry points: one taking a CompiledTrace — the
-/// fast path, replaying the precompiled flat schedule with no virtual
-/// dispatch and (for the predictors) zero per-event site-table probes —
-/// and a convenience overload taking the raw AllocationTrace that compiles
-/// on the spot.  Callers replaying one trace more than once (sweeps,
-/// repeats, --jobs fan-outs) should compile once and share the
-/// CompiledTrace; it is immutable and safe to use from many threads.
-/// Results are bit-identical between the two paths and to the replayTrace
+/// The replay entry points, one per (event source, allocator family,
+/// router):
+///
+///   | source          | family      | router      | entry point              |
+///   |-----------------|-------------|-------------|--------------------------|
+///   | CompiledTrace   | first fit   | none        | simulateFirstFit         |
+///   | CompiledTrace   | BSD         | none        | simulateBsd              |
+///   | CompiledTrace   | arena       | static bits | simulateArena            |
+///   | CompiledTrace   | arena       | online plan | simulateArena (Routes)   |
+///   | CompiledTrace   | multi-arena | class bands | simulateMultiArena       |
+///   | ScheduleFile    | first fit   | none        | streamSimulateFirstFit   |
+///   | ScheduleFile    | BSD         | none        | streamSimulateBsd        |
+///   | .sched, batched | BSD         | none        | streamSimulateBsdBatched |
+///   | .sched, sharded | BSD         | none        | streamReplayBsdSharded   |
+///
+/// The sequential rows share one consumer per family, driven by
+/// forEachEvent over either source (trace/CompiledTrace.h,
+/// trace/ScheduleFile.h); the last two run the batched Kingsley core in
+/// sim/StreamReplay.cpp.  Compile a trace once and share the CompiledTrace
+/// across sweeps, repeats and --jobs fan-outs: it is immutable and safe to
+/// use from many threads.  Results are bit-identical to the replayTrace
 /// oracle (asserted in tests/sim_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
@@ -84,38 +97,12 @@ BaselineSimResult simulateFirstFit(
     FirstFitAllocator::Config Config = FirstFitAllocator::Config(),
     SimTelemetry *Telemetry = nullptr);
 
-/// Convenience overload: compiles \p Trace's schedule, then simulates.
-BaselineSimResult simulateFirstFit(
-    const AllocationTrace &Trace, const CostModel &Costs = {},
-    FirstFitAllocator::Config Config = FirstFitAllocator::Config(),
-    SimTelemetry *Telemetry = nullptr);
-
 /// Simulates a compiled trace over the BSD allocator.  A non-null
 /// \p Telemetry collects metrics under "bsd.".
 BaselineSimResult simulateBsd(const CompiledTrace &Compiled,
                               const CostModel &Costs = {},
                               BsdAllocator::Config Config = BsdAllocator::Config(),
                               SimTelemetry *Telemetry = nullptr);
-
-/// Convenience overload: compiles \p Trace's schedule, then simulates.
-BaselineSimResult simulateBsd(const AllocationTrace &Trace,
-                              const CostModel &Costs = {},
-                              BsdAllocator::Config Config = BsdAllocator::Config(),
-                              SimTelemetry *Telemetry = nullptr);
-
-/// Batch-grouped BSD replay: events are dispatched through
-/// forEachEventBatched, stably partitioned by size class per batch, so the
-/// allocator works one free list at a time.  Counters, heap trajectory,
-/// and the exported "bsd." registry are bit-identical to simulateBsd (the
-/// partition preserves per-class order and every exported value is either
-/// per-class or a commutative aggregate); MaxLiveBytes is taken from the
-/// schedule's precomputed peak, which equals the sequential observation.
-/// Timeline sampling is not supported on this path — batching permutes
-/// clock order within a batch — so \p Telemetry only feeds the registry.
-BaselineSimResult simulateBsdBatched(
-    const CompiledTrace &Compiled, const CostModel &Costs = {},
-    BsdAllocator::Config Config = BsdAllocator::Config(),
-    size_t BatchEvents = 8192, SimTelemetry *Telemetry = nullptr);
 
 /// Simulates a compiled trace over the lifetime-predicting arena
 /// allocator, with \p DB deciding which allocations are predicted
@@ -127,14 +114,6 @@ BaselineSimResult simulateBsdBatched(
 /// actually short-lived when its lifetime is within DB's training
 /// threshold) aggregated and per site.
 ArenaSimResult simulateArena(const CompiledTrace &Compiled,
-                             const SiteDatabase &DB, double CallsPerAlloc,
-                             const CostModel &Costs = {},
-                             ArenaAllocator::Config Config = ArenaAllocator::Config(),
-                             SimTelemetry *Telemetry = nullptr);
-
-/// Convenience overload: compiles \p Trace under DB's policy, then
-/// simulates.
-ArenaSimResult simulateArena(const AllocationTrace &Trace,
                              const SiteDatabase &DB, double CallsPerAlloc,
                              const CostModel &Costs = {},
                              ArenaAllocator::Config Config = ArenaAllocator::Config(),

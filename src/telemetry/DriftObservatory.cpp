@@ -88,15 +88,6 @@ void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
   ++Objects;
 }
 
-void DriftObservatory::merge(const DriftObservatory &Other) {
-  assert(Cfg == Other.Cfg && Width == Other.Width &&
-         "merging observatories of different geometry");
-  Objects += Other.Objects;
-  Global.merge(Other.Global);
-  for (const auto &[Site, Ts] : Other.Sites)
-    siteSeries(Site).merge(Ts);
-}
-
 bool DriftObservatory::operator==(const DriftObservatory &Other) const {
   return Cfg == Other.Cfg && Width == Other.Width &&
          Objects == Other.Objects && Global == Other.Global &&

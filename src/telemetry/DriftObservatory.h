@@ -26,9 +26,7 @@
 /// The analysis pass (buildDriftReport) turns a filled observatory into
 /// per-window accuracy with CUSUM change-point flags and per-site
 /// observed-vs-trained quantile divergence — the FlightRecorder audit's
-/// drift score, time-resolved.  Everything is a commutative sum over
-/// allocation outcomes, so sharded replays merge window-wise into the
-/// same bytes at any job count.
+/// drift score, time-resolved.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,11 +104,6 @@ public:
   void recordAlloc(uint64_t BirthClock, uint32_t Site, uint32_t Size,
                    bool PredictedShort, uint64_t Lifetime,
                    bool ActuallyShort);
-
-  /// Window-wise accumulation of \p Other (same DriftConfig required).
-  /// Commutative and associative, so shard merges in index order equal a
-  /// sequential fill.
-  void merge(const DriftObservatory &Other);
 
   const TimeSeries &global() const { return Global; }
   /// Per-site series, key-sorted for deterministic iteration.

@@ -18,12 +18,6 @@
 /// or keeps only the trailing RingWindows windows, dropping the oldest —
 /// the bounded-memory mode for live processes.
 ///
-/// Every mutation is a commutative add, so a window-wise merge of series
-/// filled from disjoint event subsets equals the series filled from the
-/// union, in any merge order.  Sharded replay exploits this: per-shard
-/// series merged in shard-index order are byte-identical to a sequential
-/// fill at any job count.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIFEPRED_TELEMETRY_TIMESERIES_H
@@ -111,12 +105,6 @@ public:
   /// the lane has no samples (or the window is outside the retained
   /// range).  Lazily allocated: an untouched lane costs one null pointer.
   const Log2Histogram *histogram(uint64_t Window, unsigned Lane) const;
-
-  /// Window-wise accumulation of \p Other into this series.  Both series
-  /// must share the same Config; this one extends to cover Other's
-  /// retained range.  All lanes are sums, so merging per-shard series in
-  /// any order equals a sequential fill.
-  void merge(const TimeSeries &Other);
 
   bool operator==(const TimeSeries &Other) const;
 

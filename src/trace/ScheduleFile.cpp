@@ -7,6 +7,7 @@
 #include "trace/ScheduleFile.h"
 
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -455,4 +456,13 @@ void ScheduleFile::dropChunk(uint64_t Index) const {
 #else
   (void)Index;
 #endif
+}
+
+void ScheduleFile::rejectEventSlot(uint64_t Chunk, uint32_t Slot) const {
+  std::fprintf(stderr,
+               "corrupt schedule file: chunk %llu holds event slot %u, "
+               "outside the slot count %llu\n",
+               static_cast<unsigned long long>(Chunk), Slot,
+               static_cast<unsigned long long>(Slots));
+  std::abort();
 }

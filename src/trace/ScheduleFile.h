@@ -224,6 +224,12 @@ public:
   /// if touched again.  No-op where madvise is unavailable.
   void dropChunk(uint64_t Index) const;
 
+  /// Reports an event in chunk \p Chunk whose slot \p Slot is not below
+  /// slotCount(), then aborts, in release builds too.  open() does not scan
+  /// the event section (that would read the whole file twice), so every
+  /// loop that decodes an event slot checks it and calls this on failure.
+  [[noreturn]] void rejectEventSlot(uint64_t Chunk, uint32_t Slot) const;
+
 private:
   ScheduleFile() = default;
 
@@ -246,6 +252,39 @@ private:
   uint64_t ChunkTotal = 0;
   uint64_t LiveInTotal = 0;
 };
+
+/// Replays \p File into \p Consumer chunk by chunk, with the event protocol
+/// of the in-memory forEachEvent (trace/CompiledTrace.h); here the key is
+/// the event's slot, so a key-indexed table stays O(live objects).  Each
+/// chunk's pages are dropped once replayed, so resident memory stays
+/// O(chunk).  A slot outside slotCount() aborts naming its chunk.
+template <typename ConsumerT>
+inline void forEachEvent(const ScheduleFile &File, ConsumerT &&Consumer) {
+  const uint64_t SlotCount = File.slotCount();
+  File.adviseSequential();
+  for (uint64_t Chunk = 0; Chunk < File.chunkCount(); ++Chunk) {
+    const ScheduleEvent *Events = File.chunkEvents(Chunk);
+    const uint64_t Count = File.chunk(Chunk).EventCount;
+    for (uint64_t I = 0; I < Count; ++I) {
+      const ScheduleEvent &Event = Events[I];
+      const uint32_t Slot = Event.TaggedSlot & ~EventSchedule::FreeBit;
+      if (Slot >= SlotCount)
+        File.rejectEventSlot(Chunk, Slot);
+      if (Event.TaggedSlot & EventSchedule::FreeBit)
+        Consumer.onFree(Slot, Event.Clock);
+      else
+        Consumer.onAlloc(Slot, Event.Size, Event.Clock);
+    }
+    File.dropChunk(Chunk);
+  }
+  Consumer.onEnd(File.endClock());
+}
+
+/// Size of a key-indexed table for forEachEvent over \p File: one entry
+/// per slot.
+inline uint64_t eventKeyCount(const ScheduleFile &File) {
+  return File.slotCount();
+}
 
 } // namespace lifepred
 

@@ -127,7 +127,7 @@ public:
     Addresses.resize(Trace.size());
   }
 
-  void onAlloc(uint32_t Id, uint64_t) {
+  void onAlloc(uint32_t Id, uint32_t, uint64_t) {
     Addresses[Id] = Route(Allocator, Shadow, Id, Records[Id]);
     ++Events;
   }
@@ -163,7 +163,7 @@ uint64_t drive(const AllocationTrace &Trace, ReplayPath Path,
   CompiledTrace Compiled(Trace);
   CompiledDriver<AllocatorT, ShadowT, RouteT> Driver(Trace, Allocator, Shadow,
                                                      Route);
-  forEachEvent(Compiled.schedule(), Driver);
+  forEachEvent(Compiled, Driver);
   Shadow.finish();
   return Driver.events();
 }
@@ -237,7 +237,7 @@ ShadowReport lifepred::shadowCheckArena(const AllocationTrace &Trace,
     };
     CompiledDriver<ArenaAllocator, ShadowArena, decltype(Route)> Driver(
         Trace, Allocator, Shadow, Route);
-    forEachEvent(Compiled.schedule(), Driver);
+    forEachEvent(Compiled, Driver);
     Shadow.finish();
     Events = Driver.events();
   }
@@ -359,7 +359,7 @@ ShadowReport lifepred::shadowCheckArenaOnline(const AllocationTrace &Trace,
   };
   CompiledDriver<ArenaAllocator, ShadowArena, decltype(Route)> Driver(
       Trace, Allocator, Shadow, Route);
-  forEachEvent(Compiled.schedule(), Driver);
+  forEachEvent(Compiled, Driver);
   Shadow.finish();
   return reportFrom(Log, Driver.events());
 }
@@ -398,7 +398,7 @@ ShadowReport lifepred::shadowCheckMultiArena(const AllocationTrace &Trace,
     };
     CompiledDriver<MultiArenaAllocator, ShadowMultiArena, decltype(Route)>
         Driver(Trace, Allocator, Shadow, Route);
-    forEachEvent(Compiled.schedule(), Driver);
+    forEachEvent(Compiled, Driver);
     Shadow.finish();
     Events = Driver.events();
   }

@@ -71,10 +71,11 @@ TEST_P(DifferentialTest, AllocatorsAgreeOnLiveBytesAndConservation) {
   AllocationTrace T = randomTrace(GetParam(), 15000);
   TraceStats Stats = computeTraceStats(T);
 
-  BaselineSimResult FF = simulateFirstFit(T);
-  BaselineSimResult Bsd = simulateBsd(T);
   SiteDatabase Empty(SiteKeyPolicy::completeChain(), 32768);
-  ArenaSimResult Arena = simulateArena(T, Empty, 5.0);
+  CompiledTrace Compiled(T, Empty.policy());
+  BaselineSimResult FF = simulateFirstFit(Compiled);
+  BaselineSimResult Bsd = simulateBsd(Compiled);
+  ArenaSimResult Arena = simulateArena(Compiled, Empty, 5.0);
 
   // Peak live payload is allocator-independent.
   EXPECT_EQ(FF.MaxLiveBytes, Stats.MaxLiveBytes);
@@ -137,8 +138,9 @@ TEST_P(DifferentialTest, SingleBandMultiArenaMatchesArenaAllocator) {
   SiteDatabase Binary = trainDatabase(P, Policy);
   ClassDatabase Banded = trainClassDatabase(P, Policy, {32 * 1024});
 
-  ArenaSimResult A = simulateArena(T, Binary, 5.0);
-  MultiArenaSimResult M = simulateMultiArena(T, Banded);
+  CompiledTrace Compiled(T, Policy);
+  ArenaSimResult A = simulateArena(Compiled, Binary, 5.0);
+  MultiArenaSimResult M = simulateMultiArena(Compiled, Banded);
 
   // One band with the paper's geometry is the paper's allocator: the
   // placement decisions — and therefore heaps and counters — coincide.

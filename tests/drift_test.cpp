@@ -3,14 +3,11 @@
 // Part of the lifepred project (Barrett & Zorn, PLDI 1993 reproduction).
 //
 // Covers the windowed time-series substrate (window-edge placement, empty
-// trailing windows, ring mode, merge determinism) and the drift
-// observatory built on it: a hand-computed golden drift JSON over a small
-// trace with an engineered mid-trace lifetime shift, byte-identity of the
-// drift report across sharded fills at thread pools of 1, 2, and 8,
-// equivalence of the in-memory (simulateArena), streamed-sequential,
-// batched, and sharded drive shapes, the CUSUM change-point localizer,
-// per-site observed-vs-trained divergence scoring, the ESPRESSO
-// acceptance run, and the DriftSampleLog / PredictingHeap /
+// trailing windows, ring mode) and the drift observatory built on it: a
+// hand-computed golden drift JSON over a small trace with an engineered
+// mid-trace lifetime shift, the CUSUM change-point localizer, per-site
+// observed-vs-trained divergence scoring, the ESPRESSO acceptance run,
+// and the DriftSampleLog / PredictingHeap /
 // RuntimeProfiler::quantileProbes live-run path.
 //
 //===----------------------------------------------------------------------===//
@@ -20,11 +17,8 @@
 #include "runtime/Instrument.h"
 #include "runtime/PredictingHeap.h"
 #include "runtime/RuntimeProfiler.h"
-#include "sim/CompiledPrediction.h"
 #include "sim/SimTelemetry.h"
 #include "sim/TraceSimulator.h"
-#include "support/Random.h"
-#include "support/ThreadPool.h"
 #include "telemetry/DriftObservatory.h"
 #include "telemetry/StatsRegistry.h"
 #include "telemetry/TimeSeries.h"
@@ -98,41 +92,6 @@ TEST(TimeSeriesTest, RingModeKeepsTrailingWindowsOnly) {
   Ts.addWindow(1, 0, 99);
   EXPECT_EQ(Ts.lateDrops(), 1u);
   EXPECT_EQ(Ts.counter(1, 0), 0u);
-}
-
-TEST(TimeSeriesTest, MergeEqualsSequentialFillInAnyOrder) {
-  TimeSeries::Config C;
-  C.WindowBytes = 10;
-  C.CounterLanes = 2;
-  C.HistogramLanes = 1;
-  auto fill = [&C](TimeSeries &Ts, uint64_t First, uint64_t Last) {
-    for (uint64_t Clock = First; Clock < Last; ++Clock) {
-      Ts.add(Clock, 0, 1);
-      Ts.add(Clock, 1, Clock);
-      Ts.observe(Clock, 0, Clock + 1);
-    }
-  };
-  TimeSeries Sequential(C);
-  fill(Sequential, 0, 100);
-
-  TimeSeries A(C), B(C), D(C);
-  fill(A, 0, 33);
-  fill(B, 33, 66);
-  fill(D, 66, 100);
-
-  // Forward merge order.
-  TimeSeries Forward(C);
-  Forward.merge(A);
-  Forward.merge(B);
-  Forward.merge(D);
-  EXPECT_TRUE(Forward == Sequential);
-
-  // Reverse merge order — adds commute.
-  TimeSeries Reverse(C);
-  Reverse.merge(D);
-  Reverse.merge(B);
-  Reverse.merge(A);
-  EXPECT_TRUE(Reverse == Sequential);
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,155 +299,8 @@ TEST(DriftObservatoryTest, TelemetryExportKeys) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shape and jobs invariance
+// The ESPRESSO acceptance run
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A two-phase synthetic workload: short-lived churn whose lifetimes
-/// lengthen past the midpoint, from two sites.
-AllocationTrace shiftTrace(uint64_t Seed, size_t Objects) {
-  AllocationTrace T;
-  Rng R(Seed);
-  uint32_t ChurnChain = T.internChain(CallChain{1, 2});
-  uint32_t NodeChain = T.internChain(CallChain{1, 3});
-  for (size_t I = 0; I < Objects; ++I) {
-    bool Late = I >= Objects / 2;
-    if (R.nextBool(0.9))
-      T.append({static_cast<uint64_t>(
-                    R.nextInRange(8, Late ? 90000 : 1500)),
-                32, ChurnChain, 1});
-    else
-      T.append({static_cast<uint64_t>(R.nextInRange(200000, 500000)), 64,
-                NodeChain, 1});
-  }
-  return T;
-}
-
-/// Streamed-sequential drive shape: walks the schedule arrays directly.
-void fillSequential(const CompiledTrace &Compiled,
-                    const AllocationTrace &Trace,
-                    const PredictedShortBits &Predicted, uint64_t Threshold,
-                    DriftObservatory &Obs, size_t First, size_t Last) {
-  const EventSchedule &Schedule = Compiled.schedule();
-  const uint32_t *Ids = Schedule.taggedIds();
-  const uint64_t *Clocks = Schedule.clocks();
-  for (size_t Event = First; Event < Last; ++Event) {
-    uint32_t Tagged = Ids[Event];
-    if (Tagged & EventSchedule::FreeBit)
-      continue;
-    const AllocRecord &Record = Trace.records()[Tagged];
-    Obs.recordAlloc(Clocks[Event], Record.ChainIndex, Record.Size,
-                    Predicted.test(Tagged), Record.Lifetime,
-                    Record.Lifetime <= Threshold);
-  }
-}
-
-/// Batched drive shape, routed by predicted bit so within-batch order is
-/// genuinely permuted (mirrors trace_tool's --drift-shape=batch).
-struct DriftBatchConsumer : ScheduleConsumer<DriftBatchConsumer> {
-  const AllocationTrace *Trace = nullptr;
-  const PredictedShortBits *Predicted = nullptr;
-  uint64_t Threshold = 0;
-  DriftObservatory *Obs = nullptr;
-
-  uint32_t routeCount() const { return 2; }
-  uint32_t routeOf(uint32_t Tagged) const {
-    if (Tagged & EventSchedule::FreeBit)
-      return 0;
-    return Predicted->test(Tagged) ? 1u : 0u;
-  }
-  void onAlloc(uint32_t Id, uint64_t Clock) {
-    const AllocRecord &Record = Trace->records()[Id];
-    Obs->recordAlloc(Clock, Record.ChainIndex, Record.Size,
-                     Predicted->test(Id), Record.Lifetime,
-                     Record.Lifetime <= Threshold);
-  }
-  void onFree(uint32_t, uint64_t) {}
-};
-
-/// The sharded drive shape at \p Jobs workers: fixed event ranges filled
-/// into per-shard observatories on a pool, merged in shard-index order.
-std::string shardedDriftJson(unsigned Jobs, const CompiledTrace &Compiled,
-                             const AllocationTrace &Trace,
-                             const PredictedShortBits &Predicted,
-                             const DriftConfig &Config, uint64_t Threshold) {
-  const size_t ShardEvents = 4096;
-  size_t Count = Compiled.schedule().size();
-  size_t Shards = (Count + ShardEvents - 1) / ShardEvents;
-  std::vector<std::unique_ptr<DriftObservatory>> PerShard(Shards);
-  ThreadPool Pool(Jobs);
-  parallelForIndex(Pool, Shards, [&](size_t Shard) {
-    auto Local = std::make_unique<DriftObservatory>(Config);
-    size_t First = Shard * ShardEvents;
-    size_t Last = std::min(Count, First + ShardEvents);
-    fillSequential(Compiled, Trace, Predicted, Threshold, *Local, First,
-                   Last);
-    PerShard[Shard] = std::move(Local);
-  });
-  DriftObservatory Merged(Config);
-  for (const auto &Local : PerShard)
-    Merged.merge(*Local);
-  std::string Json;
-  writeDriftJson(buildDriftReport(Merged, nullptr, "shard"), Json, "");
-  return Json;
-}
-
-} // namespace
-
-TEST(DriftShapeTest, AllFourDriveShapesProduceIdenticalObservatories) {
-  SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
-  AllocationTrace Train = shiftTrace(101, 30000);
-  AllocationTrace Test = shiftTrace(202, 30000);
-  SiteDatabase DB = trainDatabase(profileTrace(Train, Policy), Policy);
-  CompiledTrace Compiled(Test, Policy);
-  PredictedShortBits Predicted(Compiled, DB);
-
-  DriftConfig Config;
-  Config.EndClock = Compiled.schedule().endClock();
-  Config.WindowBytes = 0; // Auto width, like the tools.
-  Config.Threshold = DB.threshold();
-
-  // In-memory shape: the instrumented arena simulator feeds the
-  // observatory from inside the replay.
-  DriftObservatory Memory(Config);
-  SimTelemetry Telemetry;
-  Telemetry.Drift = &Memory;
-  simulateArena(Compiled, DB, 5.0, {}, {}, &Telemetry);
-
-  // Streamed-sequential shape.
-  DriftObservatory Stream(Config);
-  fillSequential(Compiled, Test, Predicted, DB.threshold(), Stream, 0,
-                 Compiled.schedule().size());
-
-  // Batched shape (within-batch order permuted by route).
-  DriftObservatory Batch(Config);
-  DriftBatchConsumer Consumer;
-  Consumer.Trace = &Test;
-  Consumer.Predicted = &Predicted;
-  Consumer.Threshold = DB.threshold();
-  Consumer.Obs = &Batch;
-  forEachEventBatched(Compiled.schedule(), Consumer, 4096);
-
-  EXPECT_TRUE(Memory == Stream);
-  EXPECT_TRUE(Memory == Batch);
-
-  // Sharded shape, and the --jobs invariance bar: byte-identical report
-  // JSON from thread pools of 1, 2, and 8.
-  std::string Sequential;
-  writeDriftJson(buildDriftReport(Stream, nullptr, "shard"), Sequential,
-                 "");
-  std::string Jobs1 =
-      shardedDriftJson(1, Compiled, Test, Predicted, Config, DB.threshold());
-  std::string Jobs2 =
-      shardedDriftJson(2, Compiled, Test, Predicted, Config, DB.threshold());
-  std::string Jobs8 =
-      shardedDriftJson(8, Compiled, Test, Predicted, Config, DB.threshold());
-  EXPECT_EQ(Sequential, Jobs1);
-  EXPECT_EQ(Jobs1, Jobs2);
-  EXPECT_EQ(Jobs1, Jobs8);
-  EXPECT_GT(Jobs1.size(), 500u);
-}
 
 TEST(DriftShapeTest, EspressoLocalizesChangePointWithNamedSite) {
   // The acceptance run: ESPRESSO's drift report must localize at least

@@ -448,7 +448,8 @@ TEST(FlightRecorderSimTest, ArenaRecorderMatchesSimTelemetry) {
   FlightRecorder Rec;
   SimTelemetry Tel;
   Tel.Recorder = &Rec;
-  ArenaSimResult R = simulateArena(T, DB, 5.0, {}, {}, &Tel);
+  CompiledTrace Compiled(T, Policy);
+  ArenaSimResult R = simulateArena(Compiled, DB, 5.0, {}, {}, &Tel);
 
   // The recorder sees every allocation event and classifies it against
   // the same threshold the simulator uses, so the confusion matrices are
@@ -463,7 +464,7 @@ TEST(FlightRecorderSimTest, ArenaRecorderMatchesSimTelemetry) {
   EXPECT_EQ(Report.FinalClock, T.totalBytes());
 
   // Recording must not perturb the simulation.
-  ArenaSimResult Plain = simulateArena(T, DB, 5.0);
+  ArenaSimResult Plain = simulateArena(Compiled, DB, 5.0);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_TRUE(Plain.Arena == R.Arena);
 }
@@ -477,7 +478,8 @@ TEST(FlightRecorderSimTest, MultiArenaRecorderMatchesSimTelemetry) {
   FlightRecorder Rec;
   SimTelemetry Tel;
   Tel.Recorder = &Rec;
-  MultiArenaSimResult R = simulateMultiArena(T, DB, {}, &Tel);
+  CompiledTrace Compiled(T, Policy);
+  MultiArenaSimResult R = simulateMultiArena(Compiled, DB, {}, &Tel);
 
   EXPECT_TRUE(Rec.finished());
   EXPECT_EQ(Rec.totalObjects(), uint64_t(T.size()));
@@ -487,7 +489,7 @@ TEST(FlightRecorderSimTest, MultiArenaRecorderMatchesSimTelemetry) {
   EXPECT_EQ(Report.MissedShort, Tel.Outcomes.MissedShort);
   EXPECT_EQ(Report.TrueLong, Tel.Outcomes.TrueLong);
 
-  MultiArenaSimResult Plain = simulateMultiArena(T, DB);
+  MultiArenaSimResult Plain = simulateMultiArena(Compiled, DB);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_EQ(Plain.GeneralAllocs, R.GeneralAllocs);
 }
@@ -510,7 +512,7 @@ std::string auditAtJobCount(unsigned Jobs, size_t TaskCount) {
     FlightRecorder Rec;
     SimTelemetry Tel;
     Tel.Recorder = &Rec;
-    simulateArena(Test, DB, 5.0, {}, {}, &Tel);
+    simulateArena(CompiledTrace(Test, Policy), DB, 5.0, {}, {}, &Tel);
 
     TrainedQuantileMap Trained =
         buildTrainedQuantiles(Test, TrainProfile, Policy);

@@ -35,6 +35,7 @@ struct ProgramState {
   AllocationTrace Test;
   PipelineResult Self; ///< Complete-chain self prediction.
   PredictionReport True;
+  CompiledTrace Compiled; ///< Test, keyed under Self's policy.
 };
 
 class IntegrationTest : public ::testing::Test {
@@ -53,6 +54,7 @@ protected:
       SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
       S.Self = trainAndEvaluate(S.Train, S.Train, Policy);
       S.True = evaluatePrediction(S.Test, S.Self.Database);
+      S.Compiled = CompiledTrace(S.Test, Policy);
     }
   }
   static void TearDownTestSuite() {
@@ -195,7 +197,7 @@ TEST_F(IntegrationTest, ArenaFractionsMatchPaperShapes) {
   for (const auto &[Name, Unused] : *States) {
     ProgramState &S = state(Name);
     ArenaSimResult Sim =
-        simulateArena(S.Test, S.Self.Database, S.Model.CallsPerAlloc);
+        simulateArena(S.Compiled, S.Self.Database, S.Model.CallsPerAlloc);
     if (Name == "CFRAC") {
       // Pollution collapse.
       EXPECT_LT(Sim.arenaAllocPercent(), 8.0);
@@ -214,16 +216,16 @@ TEST_F(IntegrationTest, ArenaAddsOverheadToSmallHeapsAndHelpsGhost) {
   // Table 8's central contrast.
   for (const char *Name : {"GAWK", "PERL"}) {
     ProgramState &S = state(Name);
-    BaselineSimResult FF = simulateFirstFit(S.Test);
+    BaselineSimResult FF = simulateFirstFit(S.Compiled);
     ArenaSimResult Arena =
-        simulateArena(S.Test, S.Self.Database, S.Model.CallsPerAlloc);
+        simulateArena(S.Compiled, S.Self.Database, S.Model.CallsPerAlloc);
     EXPECT_GT(Arena.MaxHeapBytes, FF.MaxHeapBytes) << Name;
   }
   {
     ProgramState &S = state("GHOST");
-    BaselineSimResult FF = simulateFirstFit(S.Test);
+    BaselineSimResult FF = simulateFirstFit(S.Compiled);
     ArenaSimResult Arena =
-        simulateArena(S.Test, S.Self.Database, S.Model.CallsPerAlloc);
+        simulateArena(S.Compiled, S.Self.Database, S.Model.CallsPerAlloc);
     // At this reduced scale the saving can shrink to a tie; at full scale
     // the arena heap is decisively smaller (Table 8 bench).
     EXPECT_LE(Arena.MaxHeapBytes, FF.MaxHeapBytes);
@@ -235,26 +237,26 @@ TEST_F(IntegrationTest, CpuCostWinnersMatchTable9) {
   // GAWK: prediction succeeds, arena beats both baselines.
   {
     ProgramState &S = state("GAWK");
-    ArenaSimResult Arena = simulateArena(S.Test, S.Self.Database,
+    ArenaSimResult Arena = simulateArena(S.Compiled, S.Self.Database,
                                          S.Model.CallsPerAlloc, Costs);
-    BaselineSimResult FF = simulateFirstFit(S.Test, Costs);
-    BaselineSimResult Bsd = simulateBsd(S.Test, Costs);
+    BaselineSimResult FF = simulateFirstFit(S.Compiled, Costs);
+    BaselineSimResult Bsd = simulateBsd(S.Compiled, Costs);
     EXPECT_LT(Arena.InstrLen4.total(), FF.Instr.total());
     EXPECT_LT(Arena.InstrLen4.total(), Bsd.Instr.total());
   }
   // CFRAC: pollution makes the arena allocator the worst.
   {
     ProgramState &S = state("CFRAC");
-    ArenaSimResult Arena = simulateArena(S.Test, S.Self.Database,
+    ArenaSimResult Arena = simulateArena(S.Compiled, S.Self.Database,
                                          S.Model.CallsPerAlloc, Costs);
-    BaselineSimResult FF = simulateFirstFit(S.Test, Costs);
+    BaselineSimResult FF = simulateFirstFit(S.Compiled, Costs);
     EXPECT_GT(Arena.InstrLen4.total(), FF.Instr.total());
   }
   // Everywhere: BSD free is the cheap baseline, and cce never beats len-4
   // by much when calls-per-alloc is high.
   {
     ProgramState &S = state("PERL");
-    ArenaSimResult Arena = simulateArena(S.Test, S.Self.Database,
+    ArenaSimResult Arena = simulateArena(S.Compiled, S.Self.Database,
                                          S.Model.CallsPerAlloc, Costs);
     EXPECT_GT(Arena.InstrCce.Alloc, Arena.InstrLen4.Alloc);
   }

@@ -17,7 +17,8 @@
 ///    boundaries (tiny EventsPerChunk forces straddling);
 ///  * the batched bitmap fast path stays in lockstep with the BSD
 ///    free-list allocator on every shadow-oracle-validated corpus trace;
-///  * corrupt or truncated .sched files are rejected at open().
+///  * corrupt or truncated .sched files are rejected at open(), and an
+///    out-of-range event slot aborts the replay naming its chunk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,8 +108,9 @@ TEST_P(PaperWorkloadScheduleTest, StreamedRegistryMatchesInMemory) {
   StatsRegistry InMemory;
   SimTelemetry MemTel;
   MemTel.Registry = &InMemory;
-  BaselineSimResult MemFf = simulateFirstFit(Trace, {}, {}, &MemTel);
-  BaselineSimResult MemBsd = simulateBsd(Trace, {}, {}, &MemTel);
+  CompiledTrace Compiled(Trace);
+  BaselineSimResult MemFf = simulateFirstFit(Compiled, {}, {}, &MemTel);
+  BaselineSimResult MemBsd = simulateBsd(Compiled, {}, {}, &MemTel);
 
   // ...streamed replays of the same events into another.
   StatsRegistry Streamed;
@@ -234,7 +236,7 @@ TEST(ScheduleChunkTest, LiveInTablesDescribeStateBeforeChunk) {
 
   // Straddling must not disturb equivalence: the streamed sequential and
   // batched replays still match the in-memory simulation bit for bit.
-  BaselineSimResult Mem = simulateBsd(Trace);
+  BaselineSimResult Mem = simulateBsd(CompiledTrace(Trace));
   StreamSimResult Seq = streamSimulateBsd(*File);
   StreamSimResult Fast = streamSimulateBsdBatched(*File, {}, {}, 32);
   EXPECT_EQ(Mem.Bsd.Allocs, Seq.Bsd.Allocs);
@@ -285,7 +287,7 @@ TEST_P(BitmapLockstepTest, MatchesShadowCheckedBsdOnCorpusTrace) {
       std::filesystem::path(GetParam()).stem().string() + ".sched";
   std::optional<ScheduleFile> File = roundTrip(*Trace, Name, 256, Path);
   ASSERT_TRUE(File.has_value());
-  BaselineSimResult Mem = simulateBsd(*Trace);
+  BaselineSimResult Mem = simulateBsd(CompiledTrace(*Trace));
   for (size_t BatchEvents : {7u, 512u}) { // Odd size exercises tail batches.
     StreamSimResult Fast = streamSimulateBsdBatched(*File, {}, {}, BatchEvents);
     EXPECT_EQ(Mem.Bsd.Allocs, Fast.Bsd.Allocs) << "batch=" << BatchEvents;
@@ -392,4 +394,35 @@ TEST(ScheduleCorruptionTest, RejectsDamagedFiles) {
       ScheduleFile::open(testing::TempDir() + "nonexistent.sched", Error)
           .has_value());
   EXPECT_FALSE(Error.empty());
+}
+
+TEST(ScheduleCorruptionTest, OutOfRangeEventSlotAbortsNamingItsChunk) {
+  // open() validates the header, chunk index and live-in table but does
+  // not scan the events, so a corrupted event slot opens cleanly.  Every
+  // replay that decodes it must then abort naming the chunk, never index
+  // past its slot-sized tables.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string Bytes = validScheduleBytes();
+  // The first event of chunk 1 (32 events per chunk): keep its free bit,
+  // set every slot bit.
+  const size_t TaggedSlot = ScheduleFile::HeaderBytes + 32 * 16;
+  ASSERT_GT(Bytes.size(), TaggedSlot + 4);
+  Bytes[TaggedSlot] = Bytes[TaggedSlot + 1] = Bytes[TaggedSlot + 2] =
+      static_cast<char>(0xff);
+  Bytes[TaggedSlot + 3] =
+      static_cast<char>((Bytes[TaggedSlot + 3] & 0x80) | 0x7f);
+  std::string Path = testing::TempDir() + "bad_event_slot.sched";
+  std::ofstream(Path, std::ios::binary)
+      .write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  std::string Error;
+  std::optional<ScheduleFile> File = ScheduleFile::open(Path, Error);
+  ASSERT_TRUE(File.has_value()) << Error;
+
+  const char *Message = "chunk 1 holds event slot 2147483647";
+  EXPECT_DEATH(streamSimulateBsd(*File), Message);
+  EXPECT_DEATH(streamSimulateFirstFit(*File), Message);
+  EXPECT_DEATH(streamSimulateBsdBatched(*File), Message);
+  ThreadPool Pool(1);
+  EXPECT_DEATH(streamReplayBsdSharded(*File, Pool), Message);
+  std::remove(Path.c_str());
 }

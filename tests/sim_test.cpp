@@ -7,15 +7,20 @@
 #include "core/Pipeline.h"
 #include "sim/MultiArenaSimulator.h"
 #include "sim/SimTelemetry.h"
+#include "sim/StreamReplay.h"
 #include "sim/TraceSimulator.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
 #include "trace/CompiledTrace.h"
+#include "trace/ScheduleFile.h"
 #include "trace/TraceReplayer.h"
 #include "workloads/Programs.h"
 #include "workloads/WorkloadRunner.h"
 
 #include "gtest/gtest.h"
+
+#include <cstdio>
+#include <optional>
 
 using namespace lifepred;
 
@@ -43,7 +48,7 @@ AllocationTrace churnTrace(uint64_t Seed, size_t Objects) {
 
 TEST(SimTest, FirstFitBaselineProducesSaneMetrics) {
   AllocationTrace T = churnTrace(1, 20000);
-  BaselineSimResult R = simulateFirstFit(T);
+  BaselineSimResult R = simulateFirstFit(CompiledTrace(T));
   EXPECT_GT(R.MaxHeapBytes, 0u);
   EXPECT_GE(R.MaxHeapBytes, R.MaxLiveBytes);
   EXPECT_EQ(R.FirstFit.Allocs, 20000u);
@@ -54,8 +59,9 @@ TEST(SimTest, FirstFitBaselineProducesSaneMetrics) {
 
 TEST(SimTest, BsdBaselineFasterButFatterThanFirstFit) {
   AllocationTrace T = churnTrace(2, 20000);
-  BaselineSimResult FF = simulateFirstFit(T);
-  BaselineSimResult Bsd = simulateBsd(T);
+  CompiledTrace Compiled(T);
+  BaselineSimResult FF = simulateFirstFit(Compiled);
+  BaselineSimResult Bsd = simulateBsd(Compiled);
   // The paper's Table 9 relationship: BSD free is far cheaper.
   EXPECT_LT(Bsd.Instr.Free, FF.Instr.Free);
   EXPECT_LT(Bsd.Instr.total(), FF.Instr.total());
@@ -66,8 +72,9 @@ TEST(SimTest, ArenaWithEmptyDatabaseDegeneratesToFirstFit) {
   // arena allocator that allocates no objects in arenas."
   AllocationTrace T = churnTrace(3, 20000);
   SiteDatabase Empty(SiteKeyPolicy::completeChain(), 32768);
-  ArenaSimResult Arena = simulateArena(T, Empty, 5.0);
-  BaselineSimResult FF = simulateFirstFit(T);
+  CompiledTrace Compiled(T, Empty.policy());
+  ArenaSimResult Arena = simulateArena(Compiled, Empty, 5.0);
+  BaselineSimResult FF = simulateFirstFit(Compiled);
   EXPECT_EQ(Arena.Arena.ArenaAllocs, 0u);
   EXPECT_EQ(Arena.Arena.GeneralAllocs, 20000u);
   // Identical general-heap behaviour, plus the 64 KB arena area.
@@ -79,7 +86,7 @@ TEST(SimTest, TrainedDatabaseSendsShortLivedToArenas) {
   AllocationTrace T = churnTrace(4, 40000);
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   SiteDatabase DB = trainDatabase(profileTrace(T, Policy), Policy);
-  ArenaSimResult R = simulateArena(T, DB, 5.0);
+  ArenaSimResult R = simulateArena(CompiledTrace(T, Policy), DB, 5.0);
   // ~95% of objects are short-lived and their site qualifies.
   EXPECT_GT(R.arenaAllocPercent(), 90.0);
   EXPECT_EQ(R.Arena.ArenaFrees, R.Arena.ArenaAllocs);
@@ -89,7 +96,8 @@ TEST(SimTest, ArenaCceCostExceedsLen4ForManyCallsPerAlloc) {
   AllocationTrace T = churnTrace(5, 20000);
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   SiteDatabase DB = trainDatabase(profileTrace(T, Policy), Policy);
-  ArenaSimResult R = simulateArena(T, DB, /*CallsPerAlloc=*/20.0);
+  ArenaSimResult R =
+      simulateArena(CompiledTrace(T, Policy), DB, /*CallsPerAlloc=*/20.0);
   EXPECT_GT(R.InstrCce.Alloc, R.InstrLen4.Alloc);
   EXPECT_DOUBLE_EQ(R.InstrCce.Free, R.InstrLen4.Free);
 }
@@ -104,8 +112,9 @@ TEST(SimTest, SuccessfulPredictionBeatsFirstFitCpuCost) {
     T.append({static_cast<uint64_t>(R.nextInRange(8, 2000)), 32, C, 1});
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   SiteDatabase DB = trainDatabase(profileTrace(T, Policy), Policy);
-  ArenaSimResult Arena = simulateArena(T, DB, 5.0);
-  BaselineSimResult FF = simulateFirstFit(T);
+  CompiledTrace Compiled(T, Policy);
+  ArenaSimResult Arena = simulateArena(Compiled, DB, 5.0);
+  BaselineSimResult FF = simulateFirstFit(Compiled);
   EXPECT_LT(Arena.InstrLen4.total(), FF.Instr.total());
   EXPECT_LT(Arena.InstrLen4.Free, 15.0); // Count decrement is cheap.
 }
@@ -130,14 +139,15 @@ TEST(SimTest, PollutionDegradesArenaAllocation) {
                        : static_cast<uint64_t>(R.nextInRange(8, 2000)),
                  32, C2, 1});
   }
-  ArenaSimResult Polluted = simulateArena(Test, DB, 5.0);
+  ArenaSimResult Polluted =
+      simulateArena(CompiledTrace(Test, Policy), DB, 5.0);
   EXPECT_GT(Polluted.Arena.FallbackAllocs, 10000u);
   EXPECT_LT(Polluted.arenaAllocPercent(), 20.0);
 }
 
 TEST(SimTest, HeapSizeReportedInGrowthGranularity) {
   AllocationTrace T = churnTrace(8, 5000);
-  BaselineSimResult R = simulateFirstFit(T);
+  BaselineSimResult R = simulateFirstFit(CompiledTrace(T));
   EXPECT_EQ(R.MaxHeapBytes % 8192, 0u);
 }
 
@@ -398,48 +408,94 @@ TEST(CompiledTraceTest, MultiArenaCountersMatchOracleReplay) {
   }
 }
 
-TEST(CompiledTraceTest, InstrumentedReplayIdenticalToPlainAndToWrapper) {
-  // Telemetry must observe without perturbing: the instrumented consumer's
-  // counters equal the plain consumer's, the AllocationTrace convenience
-  // overload equals the explicit compiled path, and the telemetry
-  // registries of two instrumented runs are byte-identical.
+TEST(CompiledTraceTest, ObservedWithNoSinksIdenticalToUnobserved) {
+  // Observation must not perturb: with a SimTelemetry attached but no sink
+  // set, every family runs its observed consumer, and the results must
+  // equal the unobserved replay's, in memory and from a .sched file of the
+  // same trace.
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   AllocationTrace T = churnTrace(42, 30000);
-  SiteDatabase DB = trainDatabase(profileTrace(T, Policy), Policy);
+  Profile P = profileTrace(T, Policy);
+  SiteDatabase DB = trainDatabase(P, Policy);
+  ClassDatabase Classes = trainClassDatabase(P, Policy, {4096, 32 * 1024});
   CompiledTrace Compiled(T, Policy);
 
-  ArenaSimResult Plain = simulateArena(Compiled, DB, 5.0);
+  auto expectSameBaseline = [](const BaselineSimResult &Want,
+                               const BaselineSimResult &Got,
+                               const char *What) {
+    EXPECT_EQ(Want.MaxHeapBytes, Got.MaxHeapBytes) << What;
+    EXPECT_EQ(Want.MaxLiveBytes, Got.MaxLiveBytes) << What;
+    EXPECT_EQ(Want.FirstFit, Got.FirstFit) << What;
+    EXPECT_EQ(Want.Bsd, Got.Bsd) << What;
+  };
 
-  StatsRegistry RegistryA, RegistryB;
-  SimTelemetry TelemetryA, TelemetryB;
-  TelemetryA.Registry = &RegistryA;
-  TelemetryB.Registry = &RegistryB;
-  ArenaSimResult Instrumented =
-      simulateArena(Compiled, DB, 5.0, CostModel(), ArenaAllocator::Config(),
-                    &TelemetryA);
-  ArenaSimResult Wrapped = simulateArena(
-      T, DB, 5.0, CostModel(), ArenaAllocator::Config(), &TelemetryB);
+  BaselineSimResult FirstFit = simulateFirstFit(Compiled);
+  BaselineSimResult Bsd = simulateBsd(Compiled);
+  {
+    SimTelemetry NoSinks;
+    expectSameBaseline(FirstFit,
+                       simulateFirstFit(Compiled, {}, {}, &NoSinks),
+                       "firstfit");
+    expectSameBaseline(Bsd, simulateBsd(Compiled, {}, {}, &NoSinks), "bsd");
+  }
 
-  EXPECT_EQ(Plain.Arena, Instrumented.Arena);
-  EXPECT_EQ(Plain.General, Instrumented.General);
-  EXPECT_EQ(Plain.MaxHeapBytes, Instrumented.MaxHeapBytes);
-  EXPECT_EQ(Plain.MaxLiveBytes, Instrumented.MaxLiveBytes);
-  EXPECT_EQ(Plain.Arena, Wrapped.Arena);
-  EXPECT_EQ(TelemetryA.Outcomes, TelemetryB.Outcomes);
+  // The on-disk source runs the same consumers, keyed by slot.
+  std::string Path = testing::TempDir() + "observed_no_sinks.sched";
+  ScheduleFileWriter::Config WriterConfig;
+  WriterConfig.EventsPerChunk = 4096;
+  ScheduleFileWriter Writer(Path, WriterConfig);
+  Writer.append(T);
+  ASSERT_TRUE(Writer.finish()) << Writer.error();
+  std::string Error;
+  std::optional<ScheduleFile> File = ScheduleFile::open(Path, Error);
+  ASSERT_TRUE(File.has_value()) << Error;
+  {
+    SimTelemetry NoSinks;
+    expectSameBaseline(FirstFit, streamSimulateFirstFit(*File),
+                       "stream firstfit");
+    expectSameBaseline(FirstFit,
+                       streamSimulateFirstFit(*File, {}, {}, &NoSinks),
+                       "observed stream firstfit");
+    expectSameBaseline(Bsd, streamSimulateBsd(*File), "stream bsd");
+    expectSameBaseline(Bsd, streamSimulateBsd(*File, {}, {}, &NoSinks),
+                       "observed stream bsd");
+  }
+  std::remove(Path.c_str());
 
-  std::string JsonA, JsonB;
-  RegistryA.writeJson(JsonA, "");
-  RegistryB.writeJson(JsonB, "");
-  EXPECT_EQ(JsonA, JsonB);
+  ArenaSimResult Arena = simulateArena(Compiled, DB, 5.0);
+  SimTelemetry ArenaTel;
+  ArenaSimResult ObservedArena =
+      simulateArena(Compiled, DB, 5.0, {}, {}, &ArenaTel);
+  EXPECT_EQ(Arena.Arena, ObservedArena.Arena);
+  EXPECT_EQ(Arena.General, ObservedArena.General);
+  EXPECT_EQ(Arena.MaxHeapBytes, ObservedArena.MaxHeapBytes);
+  EXPECT_EQ(Arena.MaxLiveBytes, ObservedArena.MaxLiveBytes);
 
-  // The pre-resolved outcomes against a direct per-record recomputation.
+  MultiArenaSimResult Multi = simulateMultiArena(Compiled, Classes);
+  SimTelemetry MultiTel;
+  MultiArenaSimResult ObservedMulti =
+      simulateMultiArena(Compiled, Classes, {}, &MultiTel);
+  EXPECT_EQ(Multi.MaxHeapBytes, ObservedMulti.MaxHeapBytes);
+  EXPECT_EQ(Multi.MaxLiveBytes, ObservedMulti.MaxLiveBytes);
+  EXPECT_EQ(Multi.GeneralAllocs, ObservedMulti.GeneralAllocs);
+  EXPECT_EQ(Multi.GeneralBytes, ObservedMulti.GeneralBytes);
+  EXPECT_EQ(Multi.General, ObservedMulti.General);
+  ASSERT_EQ(Multi.PerBand.size(), ObservedMulti.PerBand.size());
+  for (size_t Band = 0; Band < Multi.PerBand.size(); ++Band) {
+    EXPECT_EQ(Multi.PerBand[Band].Allocs, ObservedMulti.PerBand[Band].Allocs);
+    EXPECT_EQ(Multi.PerBand[Band].Bytes, ObservedMulti.PerBand[Band].Bytes);
+    EXPECT_EQ(Multi.PerBand[Band].Resets, ObservedMulti.PerBand[Band].Resets);
+  }
+
+  // The observed arena replay still scores outcomes; check them against a
+  // direct per-record recomputation.
   PredictionCounts Expected;
   for (const AllocRecord &Record : T.records()) {
     bool Predicted = DB.contains(siteKey(
         Policy, T.chain(Record.ChainIndex), Record.Size, Record.TypeId));
     Expected.add(Predicted, Record.Lifetime <= DB.threshold());
   }
-  EXPECT_EQ(TelemetryA.Outcomes, Expected);
+  EXPECT_EQ(ArenaTel.Outcomes, Expected);
 }
 
 TEST(CompiledTraceTest, SharedScheduleIsStableAcrossConcurrentReplays) {

@@ -892,7 +892,8 @@ TEST(SimTelemetryTest, FirstFitExportMatchesSimResult) {
   SimTelemetry Tel;
   Tel.Registry = &Reg;
   Tel.Timeline = &Timeline;
-  BaselineSimResult R = simulateFirstFit(T, {}, {}, &Tel);
+  CompiledTrace Compiled(T);
+  BaselineSimResult R = simulateFirstFit(Compiled, {}, {}, &Tel);
 
   EXPECT_EQ(Reg.counters().at("firstfit.allocs"), R.FirstFit.Allocs);
   EXPECT_EQ(Reg.counters().at("firstfit.frees"), R.FirstFit.Frees);
@@ -907,7 +908,7 @@ TEST(SimTelemetryTest, FirstFitExportMatchesSimResult) {
   EXPECT_GT(Timeline.samples().size(), 1u);
 
   // Instrumentation must not perturb the simulation itself.
-  BaselineSimResult Plain = simulateFirstFit(T);
+  BaselineSimResult Plain = simulateFirstFit(Compiled);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_EQ(Plain.MaxLiveBytes, R.MaxLiveBytes);
   EXPECT_TRUE(Plain.FirstFit == R.FirstFit);
@@ -918,7 +919,8 @@ TEST(SimTelemetryTest, BsdExportMatchesSimResult) {
   StatsRegistry Reg;
   SimTelemetry Tel;
   Tel.Registry = &Reg;
-  BaselineSimResult R = simulateBsd(T, {}, {}, &Tel);
+  CompiledTrace Compiled(T);
+  BaselineSimResult R = simulateBsd(Compiled, {}, {}, &Tel);
 
   EXPECT_EQ(Reg.counters().at("bsd.allocs"), R.Bsd.Allocs);
   EXPECT_EQ(Reg.counters().at("bsd.frees"), R.Bsd.Frees);
@@ -926,7 +928,7 @@ TEST(SimTelemetryTest, BsdExportMatchesSimResult) {
   // One size-class sample per allocation.
   EXPECT_EQ(Reg.histograms().at("bsd.class_bytes").count(), R.Bsd.Allocs);
 
-  BaselineSimResult Plain = simulateBsd(T);
+  BaselineSimResult Plain = simulateBsd(Compiled);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_TRUE(Plain.Bsd == R.Bsd);
 }
@@ -939,7 +941,8 @@ TEST(SimTelemetryTest, ArenaOutcomesCoverEveryAllocation) {
   StatsRegistry Reg;
   SimTelemetry Tel;
   Tel.Registry = &Reg;
-  ArenaSimResult R = simulateArena(T, DB, 5.0, {}, {}, &Tel);
+  CompiledTrace Compiled(T, DB.policy());
+  ArenaSimResult R = simulateArena(Compiled, DB, 5.0, {}, {}, &Tel);
 
   // Every allocation event is classified exactly once.
   EXPECT_EQ(Tel.Outcomes.total(), uint64_t(T.size()));
@@ -961,7 +964,7 @@ TEST(SimTelemetryTest, ArenaOutcomesCoverEveryAllocation) {
   // The well-trained churn trace predicts nearly everything correctly.
   EXPECT_GT(Tel.Outcomes.accuracyPercent(), 90.0);
 
-  ArenaSimResult Plain = simulateArena(T, DB, 5.0);
+  ArenaSimResult Plain = simulateArena(Compiled, DB, 5.0);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_TRUE(Plain.Arena == R.Arena);
 }
@@ -975,7 +978,8 @@ TEST(SimTelemetryTest, MultiArenaOutcomesCoverEveryAllocation) {
   StatsRegistry Reg;
   SimTelemetry Tel;
   Tel.Registry = &Reg;
-  MultiArenaSimResult R = simulateMultiArena(T, DB, {}, &Tel);
+  CompiledTrace Compiled(T, DB.policy());
+  MultiArenaSimResult R = simulateMultiArena(Compiled, DB, {}, &Tel);
 
   EXPECT_EQ(Tel.Outcomes.total(), uint64_t(T.size()));
   EXPECT_EQ(Reg.counters().at("multiarena.pred.true_short"),
@@ -983,7 +987,7 @@ TEST(SimTelemetryTest, MultiArenaOutcomesCoverEveryAllocation) {
   EXPECT_EQ(Reg.counters().at("multiarena.general_allocs"), R.GeneralAllocs);
   EXPECT_EQ(Reg.gauges().at("multiarena.pred.sites"), Tel.PerSite.size());
 
-  MultiArenaSimResult Plain = simulateMultiArena(T, DB);
+  MultiArenaSimResult Plain = simulateMultiArena(Compiled, DB);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
   EXPECT_EQ(Plain.GeneralAllocs, R.GeneralAllocs);
   EXPECT_EQ(Plain.GeneralBytes, R.GeneralBytes);
