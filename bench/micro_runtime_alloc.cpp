@@ -4,9 +4,11 @@
 //
 // google-benchmark timings of the *real* PredictingHeap against plain
 // operator new on the paper's target pattern: bursts of short-lived
-// allocations that die together.  The arena path is a pointer bump plus a
-// count increment, so it should beat the general-purpose allocator — the
-// modern analogue of Table 9's GAWK row.
+// allocations that die together — the modern analogue of Table 9's GAWK
+// row.  Under lastN(4) an arena allocation is: hash the innermost four
+// shadow-stack frames in place (ShadowStack::chainKeyPart, no container
+// built), probe SiteDatabase's flat linear-probed key table, bump the
+// arena pointer and count.  No step allocates (runtime_noalloc_test).
 //
 //===----------------------------------------------------------------------===//
 

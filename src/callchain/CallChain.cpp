@@ -6,8 +6,6 @@
 
 #include "callchain/CallChain.h"
 
-#include "support/Hashing.h"
-
 #include <cassert>
 
 using namespace lifepred;
@@ -48,12 +46,4 @@ CallChain CallChain::lastN(size_t N) const {
   return CallChain(
       std::vector<FunctionId>(Funcs.end() - static_cast<ptrdiff_t>(N),
                               Funcs.end()));
-}
-
-uint64_t CallChain::hash() const {
-  uint64_t Hash = FnvOffsetBasis;
-  for (FunctionId F : Funcs)
-    Hash = hashCombine(Hash, F);
-  // Mix in the depth so a chain is never confused with a prefix of itself.
-  return hashCombine(Hash, Funcs.size());
 }

@@ -18,6 +18,8 @@
 #ifndef LIFEPRED_CALLCHAIN_CALLCHAIN_H
 #define LIFEPRED_CALLCHAIN_CALLCHAIN_H
 
+#include "support/Hashing.h"
+
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -27,6 +29,23 @@ namespace lifepred {
 
 /// Identifies one function in the traced program.
 using FunctionId = uint32_t;
+
+/// Order-sensitive 64-bit hash of the \p Count functions at \p Frames,
+/// outermost first: the one chain hash (CallChain::hash() and hashLastN()).
+inline uint64_t hashFrames(const FunctionId *Frames, size_t Count) {
+  uint64_t Hash = FnvOffsetBasis;
+  for (size_t I = 0; I < Count; ++I)
+    Hash = hashCombine(Hash, Frames[I]);
+  // Mix in the depth so a chain is never confused with a prefix of itself.
+  return hashCombine(Hash, Count);
+}
+
+/// Hash of the innermost min(\p N, size) of the outermost-first \p Frames:
+/// equal to CallChain(Frames).lastN(N).hash(), with no sub-chain built.
+inline uint64_t hashLastN(const std::vector<FunctionId> &Frames, size_t N) {
+  size_t Window = N < Frames.size() ? N : Frames.size();
+  return hashFrames(Frames.data() + (Frames.size() - Window), Window);
+}
 
 /// An ordered list of functions on the call stack, outermost first.
 class CallChain {
@@ -73,7 +92,7 @@ public:
   CallChain lastN(size_t N) const;
 
   /// Order-sensitive 64-bit hash of the chain.
-  uint64_t hash() const;
+  uint64_t hash() const { return hashFrames(Funcs.data(), Funcs.size()); }
 
   friend bool operator==(const CallChain &A, const CallChain &B) {
     return A.Funcs == B.Funcs;

@@ -12,7 +12,9 @@
 /// LIFEPRED_FUNCTION macro in runtime/Instrument.h).
 ///
 /// The stack also maintains the incremental call-chain-encryption key (one
-/// XOR per push/pop, mirroring the paper's 3-instruction estimate).
+/// XOR per push/pop, mirroring the paper's 3-instruction estimate), and
+/// hashes the last-N site key straight from the live frames, so the
+/// runtime's hot policy never copies the chain into a container.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 
 #include "callchain/CallChain.h"
 #include "callchain/ChainEncryption.h"
+#include "callchain/SiteKey.h"
 
 #include <vector>
 
@@ -52,7 +55,19 @@ public:
   CallChain capture() const { return CallChain(Frames); }
 
   /// Captures the last \p N callers without materializing the whole chain.
+  /// The reference path (tests, benches); allocation sites key through
+  /// chainKeyPart() instead.
   CallChain captureLastN(size_t N) const;
+
+  /// The site key's chain part under \p Policy for the current stack:
+  /// equal to chainKeyPart(Policy, capture()).  LastN hashes the innermost
+  /// min(N, depth) frames in place with no allocation; the other policies
+  /// capture the whole chain (complete-chain mode must prune cycles).
+  uint64_t chainKeyPart(const SiteKeyPolicy &Policy) const {
+    if (Policy.Mode != SiteKeyMode::LastN)
+      return lifepred::chainKeyPart(Policy, capture());
+    return hashLastN(Frames, Policy.Length);
+  }
 
   /// The running call-chain-encryption key for the current stack.
   ChainKey currentKey() const {

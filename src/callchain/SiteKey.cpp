@@ -16,7 +16,7 @@ uint64_t lifepred::chainKeyPart(const SiteKeyPolicy &Policy,
   case SiteKeyMode::CompleteChain:
     return Raw.pruned().hash();
   case SiteKeyMode::LastN:
-    return Raw.lastN(Policy.Length).hash();
+    return hashLastN(Raw.functions(), Policy.Length);
   case SiteKeyMode::SizeOnly:
     // A fixed chain part: the key depends only on the rounded size.
     return FnvOffsetBasis;

@@ -108,10 +108,12 @@ inline uint32_t roundSize(const SiteKeyPolicy &Policy, uint32_t Size) {
   return static_cast<uint32_t>(alignTo(Size, Policy.SizeRounding));
 }
 
-/// Full site key for an allocation with \p Raw chain and \p Size bytes.
-/// Type-based policies additionally need the object's \p TypeId.
-inline SiteKey siteKey(const SiteKeyPolicy &Policy, const CallChain &Raw,
-                       uint32_t Size, uint32_t TypeId = 0) {
+/// Full site key from a precomputed chain part (chainKeyPart) and the
+/// allocation's \p Size; type-based policies use \p TypeId instead of the
+/// chain.  Every site-key entry point below funnels through this one.
+inline SiteKey siteKeyFromChainPart(const SiteKeyPolicy &Policy,
+                                    uint64_t ChainPart, uint32_t Size,
+                                    uint32_t TypeId = 0) {
   switch (Policy.Mode) {
   case SiteKeyMode::TypeOnly:
     return hashCombine(FnvOffsetBasis ^ 0x717e, TypeId);
@@ -119,8 +121,15 @@ inline SiteKey siteKey(const SiteKeyPolicy &Policy, const CallChain &Raw,
     return hashCombine(hashCombine(FnvOffsetBasis, TypeId),
                        roundSize(Policy, Size));
   default:
-    return hashCombine(chainKeyPart(Policy, Raw), roundSize(Policy, Size));
+    return hashCombine(ChainPart, roundSize(Policy, Size));
   }
+}
+
+/// Full site key for an allocation with \p Raw chain and \p Size bytes.
+/// Type-based policies additionally need the object's \p TypeId.
+inline SiteKey siteKey(const SiteKeyPolicy &Policy, const CallChain &Raw,
+                       uint32_t Size, uint32_t TypeId = 0) {
+  return siteKeyFromChainPart(Policy, chainKeyPart(Policy, Raw), Size, TypeId);
 }
 
 /// Site key for a trace record given the precomputed chain part of its
@@ -129,15 +138,7 @@ inline SiteKey siteKey(const SiteKeyPolicy &Policy, const CallChain &Raw,
 template <typename RecordT>
 inline SiteKey siteKeyForRecord(const SiteKeyPolicy &Policy,
                                 uint64_t ChainPart, const RecordT &Record) {
-  switch (Policy.Mode) {
-  case SiteKeyMode::TypeOnly:
-    return hashCombine(FnvOffsetBasis ^ 0x717e, Record.TypeId);
-  case SiteKeyMode::TypeAndSize:
-    return hashCombine(hashCombine(FnvOffsetBasis, Record.TypeId),
-                       roundSize(Policy, Record.Size));
-  default:
-    return hashCombine(ChainPart, roundSize(Policy, Record.Size));
-  }
+  return siteKeyFromChainPart(Policy, ChainPart, Record.Size, Record.TypeId);
 }
 
 } // namespace lifepred

@@ -7,7 +7,9 @@
 #include "core/SiteDatabase.h"
 
 #include "support/Assert.h"
+#include "support/MathExtras.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -53,12 +55,49 @@ std::optional<SiteKeyMode> parseMode(const std::string &Name) {
 
 } // namespace
 
+void SiteDatabase::insert(SiteKey Key) {
+  if (Key == 0) {
+    HasZero = true;
+    return;
+  }
+  if (2 * (Count + 1) > Slots.size())
+    grow();
+  size_t I = slotOf(Key);
+  for (; Slots[I] != 0; I = (I + 1) & (Slots.size() - 1))
+    if (Slots[I] == Key)
+      return;
+  Slots[I] = Key;
+  ++Count;
+}
+
+void SiteDatabase::grow() {
+  std::vector<SiteKey> Old = std::move(Slots);
+  Slots.assign(Old.empty() ? 16 : 2 * Old.size(), 0);
+  Shift = 64 - log2Ceil(Slots.size());
+  for (SiteKey Key : Old) {
+    if (Key == 0)
+      continue;
+    size_t I = slotOf(Key);
+    while (Slots[I] != 0)
+      I = (I + 1) & (Slots.size() - 1);
+    Slots[I] = Key;
+  }
+}
+
 void SiteDatabase::save(std::ostream &OS) const {
   OS << "sitedb v1\n";
   OS << "policy " << modeName(Policy.Mode) << ' ' << Policy.Length << ' '
      << Policy.SizeRounding << '\n';
   OS << "threshold " << Threshold << '\n';
-  for (SiteKey Key : Keys)
+  std::vector<SiteKey> Sorted;
+  Sorted.reserve(size());
+  if (HasZero)
+    Sorted.push_back(0);
+  for (SiteKey Key : Slots)
+    if (Key != 0)
+      Sorted.push_back(Key);
+  std::sort(Sorted.begin(), Sorted.end());
+  for (SiteKey Key : Sorted)
     OS << "site " << Key << '\n';
 }
 
@@ -89,7 +128,7 @@ std::optional<SiteDatabase> SiteDatabase::load(std::istream &IS) {
       SiteKey Key = 0;
       if (!(LS >> Key))
         return std::nullopt;
-      DB.Keys.insert(Key);
+      DB.insert(Key);
     } else {
       return std::nullopt;
     }

@@ -8,8 +8,10 @@
 /// The database of allocation sites predicted to allocate only short-lived
 /// objects — the artifact a training run produces and the optimized
 /// allocator links against.  Per the paper it is a small hash table of
-/// encoded site keys; here additionally serializable so examples and tools
-/// can persist profiles between processes.
+/// encoded site keys: here a flat, power-of-two, linear-probed array of
+/// keys kept at most half full, so a probe is a multiply, a shift and a
+/// short scan of adjacent words.  Serializable so examples and tools can
+/// persist profiles between processes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <unordered_set>
+#include <vector>
 
 namespace lifepred {
 
@@ -34,18 +36,31 @@ public:
       : Policy(Policy), Threshold(Threshold) {}
 
   /// Adds a predicted-short-lived site.
-  void insert(SiteKey Key) { Keys.insert(Key); }
+  void insert(SiteKey Key);
 
   /// True if \p Key was predicted short-lived in training.
-  bool contains(SiteKey Key) const { return Keys.count(Key) != 0; }
+  bool contains(SiteKey Key) const {
+    // 0 marks an empty slot, so key 0 (a legal hash) lives in a flag.
+    if (Key == 0)
+      return HasZero;
+    if (Slots.empty())
+      return false;
+    for (size_t I = slotOf(Key);; I = (I + 1) & (Slots.size() - 1)) {
+      if (Slots[I] == Key)
+        return true;
+      if (Slots[I] == 0)
+        return false;
+    }
+  }
 
-  /// Predicts from a raw chain and size directly.
+  /// Predicts from a raw chain and size directly.  The reference path
+  /// (tests, benches); the runtime keys from the live shadow stack.
   bool predictShortLived(const CallChain &Raw, uint32_t Size) const {
     return contains(siteKey(Policy, Raw, Size));
   }
 
   /// Number of predicted sites.
-  size_t size() const { return Keys.size(); }
+  size_t size() const { return Count + (HasZero ? 1 : 0); }
 
   /// The key policy the database was trained under.
   const SiteKeyPolicy &policy() const { return Policy; }
@@ -53,15 +68,28 @@ public:
   /// The short-lived threshold (bytes) used in training.
   uint64_t threshold() const { return Threshold; }
 
-  /// Writes the database as text ("sitedb v1" header, one key per line).
-  /// The encryption pointer of the policy is not serialized.
+  /// Writes the database as text ("sitedb v1" header, one key per line in
+  /// ascending order, so equal sets save byte-identically).  The
+  /// encryption pointer of the policy is not serialized.
   void save(std::ostream &OS) const;
 
   /// Parses a database written by save(); std::nullopt on malformed input.
   static std::optional<SiteDatabase> load(std::istream &IS);
 
 private:
-  std::unordered_set<SiteKey> Keys;
+  /// Home slot of \p Key: the top bits of a Fibonacci multiply, so keys
+  /// that share their low (or high) bits still spread.  Requires a
+  /// non-empty table.
+  size_t slotOf(SiteKey Key) const {
+    return static_cast<size_t>((Key * 0x9e3779b97f4a7c15ULL) >> Shift);
+  }
+  void grow();
+
+  /// Open-addressed keys, 0 = empty; size is a power of two (or 0).
+  std::vector<SiteKey> Slots;
+  unsigned Shift = 64; ///< 64 - log2(Slots.size()).
+  size_t Count = 0;    ///< Nonzero keys stored in Slots.
+  bool HasZero = false;
   SiteKeyPolicy Policy;
   uint64_t Threshold = 32 * 1024;
 };

@@ -100,21 +100,19 @@ void PredictingHeap::recordBirth(const void *Ptr, size_t Size, bool Predicted,
 }
 
 void *PredictingHeap::allocate(size_t Size) {
-  const ShadowStack &Stack = ShadowStack::current();
+  // The key comes straight from the calling thread's shadow stack; for
+  // lastN it is hashed in place, so this path never allocates.
   const SiteKeyPolicy &Policy = Database.policy();
-  CallChain Chain = Policy.Mode == SiteKeyMode::LastN
-                        ? Stack.captureLastN(Policy.Length)
-                        : Stack.capture();
+  SiteKey Key = siteKeyFromChainPart(
+      Policy, ShadowStack::current().chainKeyPart(Policy),
+      static_cast<uint32_t>(Size));
 
   std::unique_lock<std::mutex> Guard(Lock, std::defer_lock);
   if (Cfg.ThreadSafe)
     Guard.lock();
 
-  if (!Online && !Recorder && !DriftLog) {
-    bool Predicted =
-        Database.predictShortLived(Chain, static_cast<uint32_t>(Size));
-    return allocateImpl(Size, Predicted);
-  }
+  if (!Online && !Recorder && !DriftLog)
+    return allocateImpl(Size, Database.contains(Key));
 
   // Instrumented path: the byte clock advances by the payload before the
   // allocation (matching the simulator's "clock after alloc" convention),
@@ -122,7 +120,6 @@ void *PredictingHeap::allocate(size_t Size) {
   // clock, and the online predictor's retrain windows close on exactly
   // the clocks a replay of the same run would close them on.
   ByteClock += Size;
-  SiteKey Key = siteKey(Policy, Chain, static_cast<uint32_t>(Size));
   bool Predicted;
   if (Online) {
     Online->advanceClock(ByteClock);
@@ -164,6 +161,9 @@ void PredictingHeap::attachOnline(OnlinePredictor *Predictor) {
 }
 
 uint32_t PredictingHeap::routeEpoch() const {
+  std::unique_lock<std::mutex> Guard(Lock, std::defer_lock);
+  if (Cfg.ThreadSafe)
+    Guard.lock();
   return Online ? Online->epoch() : 0;
 }
 

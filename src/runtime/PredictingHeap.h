@@ -122,7 +122,8 @@ public:
 
   /// The attached predictor's routing-table epoch (0 without one): bumps
   /// exactly when a retrain window flipped at least one site's route, so
-  /// callers can cheaply detect mid-run re-routing.
+  /// callers can cheaply detect mid-run re-routing.  In ThreadSafe mode it
+  /// takes the heap's lock, so any thread may poll it during a run.
   uint32_t routeEpoch() const;
 
 private:
@@ -141,7 +142,7 @@ private:
   SiteDatabase Database;
   Config Cfg;
   Stats Counters;
-  std::mutex Lock; ///< Used only when Cfg.ThreadSafe.
+  mutable std::mutex Lock; ///< Used only when Cfg.ThreadSafe.
   std::unique_ptr<unsigned char[]> Area; ///< The contiguous arena area.
   std::vector<Arena> Arenas;
   unsigned Current = 0;

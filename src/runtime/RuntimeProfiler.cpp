@@ -11,12 +11,9 @@
 using namespace lifepred;
 
 void RuntimeProfiler::recordAlloc(const void *Ptr, uint32_t Size) {
-  // Capture only as much of the chain as the policy needs.
-  const ShadowStack &Stack = ShadowStack::current();
-  CallChain Chain = Policy.Mode == SiteKeyMode::LastN
-                        ? Stack.captureLastN(Policy.Length)
-                        : Stack.capture();
-  SiteKey Key = siteKey(Policy, Chain, Size);
+  // The same in-place key the PredictingHeap routes by.
+  SiteKey Key = siteKeyFromChainPart(
+      Policy, ShadowStack::current().chainKeyPart(Policy), Size);
 
   Clock += Size;
   Live[Ptr] = {Key, Clock, Size};

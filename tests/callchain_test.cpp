@@ -201,3 +201,50 @@ TEST(ShadowStackTest, IncrementalEncryptionKey) {
   S.pop();
   EXPECT_EQ(S.currentKey(), 0);
 }
+
+TEST(ShadowStackTest, InPlaceKeyMatchesCapturedKey) {
+  // Differential check of the allocation-path key against the reference
+  // siteKey(Policy, capture(), Size) over random push/pop/allocate runs.
+  // Function ids come from a small pool so recursion (repeated ids) is
+  // common; the walk starts at depth 0 and often sits below N.
+  ChainEncryption Enc;
+  for (FunctionId F = 0; F < 6; ++F)
+    Enc.setId(F, static_cast<ChainKey>(0x1111 * (F + 1)));
+  std::vector<SiteKeyPolicy> Policies = {
+      SiteKeyPolicy::lastN(0),    SiteKeyPolicy::lastN(1),
+      SiteKeyPolicy::lastN(2),    SiteKeyPolicy::lastN(4),
+      SiteKeyPolicy::lastN(7),    SiteKeyPolicy::lastN(4, 8),
+      SiteKeyPolicy::completeChain(), SiteKeyPolicy::sizeOnly(),
+      SiteKeyPolicy::encrypted(Enc)};
+  ShadowStack &S = ShadowStack::current();
+  Rng R(15);
+  for (const SiteKeyPolicy &Policy : Policies) {
+    S.clear();
+    std::vector<size_t> DepthsSeen(12, 0);
+    for (int Step = 0; Step < 4000; ++Step) {
+      uint64_t Op = R.nextBelow(3);
+      if (Op == 0 && S.depth() < 11) {
+        FunctionId F = static_cast<FunctionId>(R.nextBelow(6));
+        S.push(F, Enc.idFor(F));
+      } else if (Op == 1 && S.depth() > 0) {
+        S.pop();
+      } else {
+        uint32_t Size = static_cast<uint32_t>(R.nextBelow(300));
+        ++DepthsSeen[S.depth()];
+        ASSERT_EQ(siteKeyFromChainPart(Policy, S.chainKeyPart(Policy), Size),
+                  siteKey(Policy, S.capture(), Size))
+            << "mode " << static_cast<int>(Policy.Mode) << " length "
+            << Policy.Length << " depth " << S.depth();
+        // The window arithmetic against the sub-chain-copying reference.
+        if (Policy.Mode == SiteKeyMode::LastN) {
+          ASSERT_EQ(S.chainKeyPart(Policy),
+                    S.captureLastN(Policy.Length).hash());
+        }
+      }
+    }
+    EXPECT_GT(DepthsSeen[0], 0u);
+    EXPECT_GT(DepthsSeen[1], 0u);
+    EXPECT_GT(DepthsSeen[8], 0u);
+  }
+  S.clear();
+}

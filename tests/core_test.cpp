@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 
 #include <sstream>
+#include <vector>
 
 using namespace lifepred;
 
@@ -261,6 +262,106 @@ TEST(SiteDatabaseTest, PredictShortLivedHelper) {
   EXPECT_TRUE(DB.predictShortLived(CallChain{1, 2}, 14)); // Rounds to 16.
   EXPECT_FALSE(DB.predictShortLived(CallChain{1, 2}, 32));
   EXPECT_FALSE(DB.predictShortLived(CallChain{1, 3}, 16));
+}
+
+TEST(SiteDatabaseTest, EmptyDatabaseMisses) {
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  EXPECT_EQ(DB.size(), 0u);
+  EXPECT_FALSE(DB.contains(0));
+  EXPECT_FALSE(DB.contains(1));
+  EXPECT_FALSE(DB.contains(~uint64_t(0)));
+}
+
+TEST(SiteDatabaseTest, KeyZeroIsAStoredKey) {
+  // 0 is a legal hashCombine output; the table must not treat it as empty.
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  DB.insert(0);
+  EXPECT_TRUE(DB.contains(0));
+  EXPECT_FALSE(DB.contains(1));
+  EXPECT_EQ(DB.size(), 1u);
+  DB.insert(0);
+  DB.insert(7);
+  EXPECT_EQ(DB.size(), 2u);
+  std::stringstream SS;
+  DB.save(SS);
+  auto Loaded = SiteDatabase::load(SS);
+  ASSERT_TRUE(Loaded.has_value());
+  EXPECT_TRUE(Loaded->contains(0));
+  EXPECT_TRUE(Loaded->contains(7));
+  EXPECT_EQ(Loaded->size(), 2u);
+}
+
+TEST(SiteDatabaseTest, KeysSharingLowBitsAreAllFound) {
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  std::vector<SiteKey> Keys;
+  for (uint64_t I = 1; I <= 600; ++I) {
+    Keys.push_back((I << 32) | 0x5);
+    Keys.push_back(I << 52);
+  }
+  for (SiteKey Key : Keys)
+    DB.insert(Key);
+  EXPECT_EQ(DB.size(), Keys.size());
+  for (SiteKey Key : Keys)
+    EXPECT_TRUE(DB.contains(Key)) << Key;
+  for (uint64_t I = 601; I <= 1200; ++I) {
+    EXPECT_FALSE(DB.contains((I << 32) | 0x5));
+    EXPECT_FALSE(DB.contains(I << 32));
+  }
+}
+
+TEST(SiteDatabaseTest, GrowthKeepsEveryKey) {
+  // 5000 keys cross the table's power-of-two resize points several times;
+  // at every power-of-two count all keys so far are still found.
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  std::vector<SiteKey> Keys;
+  constexpr uint64_t Seed = 1993;
+  for (int I = 0; I < 5000; ++I) {
+    Keys.push_back(hashCombine(Seed, static_cast<uint64_t>(I)));
+    DB.insert(Keys.back());
+    if ((Keys.size() & (Keys.size() - 1)) == 0) {
+      for (SiteKey Key : Keys)
+        ASSERT_TRUE(DB.contains(Key)) << "after " << Keys.size() << " keys";
+    }
+  }
+  EXPECT_EQ(DB.size(), Keys.size());
+  for (SiteKey Key : Keys)
+    EXPECT_TRUE(DB.contains(Key));
+  for (int I = 5000; I < 10000; ++I)
+    EXPECT_FALSE(DB.contains(hashCombine(Seed, static_cast<uint64_t>(I))));
+}
+
+TEST(SiteDatabaseTest, DuplicateInsertsKeepSize) {
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  for (int Round = 0; Round < 3; ++Round)
+    for (SiteKey Key = 1; Key <= 40; ++Key)
+      DB.insert(Key * 1000003);
+  EXPECT_EQ(DB.size(), 40u);
+}
+
+TEST(SiteDatabaseTest, SaveIsIndependentOfInsertionOrder) {
+  std::vector<SiteKey> Keys = {0, 99, 3, ~uint64_t(0), 1ull << 40, 42, 7};
+  SiteDatabase Forward(SiteKeyPolicy::lastN(4), 4096);
+  SiteDatabase Backward(SiteKeyPolicy::lastN(4), 4096);
+  for (SiteKey Key : Keys)
+    Forward.insert(Key);
+  for (auto It = Keys.rbegin(); It != Keys.rend(); ++It)
+    Backward.insert(*It);
+  std::stringstream A, B;
+  Forward.save(A);
+  Backward.save(B);
+  EXPECT_EQ(A.str(), B.str());
+  EXPECT_EQ(A.str(), "sitedb v1\npolicy lastn 4 4\nthreshold 4096\n"
+                     "site 0\nsite 3\nsite 7\nsite 42\nsite 99\n"
+                     "site 1099511627776\nsite 18446744073709551615\n");
+
+  std::stringstream Again(A.str());
+  auto Loaded = SiteDatabase::load(Again);
+  ASSERT_TRUE(Loaded.has_value());
+  std::stringstream C;
+  Loaded->save(C);
+  EXPECT_EQ(C.str(), A.str());
+  for (SiteKey Key : Keys)
+    EXPECT_TRUE(Loaded->contains(Key));
 }
 
 TEST(ThresholdSelectorTest, PicksKneeOfCoverageCurve) {
