@@ -24,10 +24,10 @@
 #define LIFEPRED_ALLOC_ARENAALLOCATOR_H
 
 #include "alloc/FirstFitAllocator.h"
+#include "support/FlatAddressMap.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lifepred {
@@ -37,7 +37,8 @@ class ArenaLifecycleSink;
 /// Arena allocator simulator with a first-fit general heap.
 class ArenaAllocator : public AllocatorSim {
 public:
-  /// Geometry of the arena area.
+  /// Geometry of the arena area.  AreaBytes / ArenaCount must be a power
+  /// of two, so an arena index is a shift of the address offset.
   struct Config {
     uint64_t AreaBytes = 64 * 1024; ///< Total short-lived area.
     unsigned ArenaCount = 16;       ///< Arenas the area is divided into.
@@ -93,7 +94,7 @@ public:
   const Config &config() const { return Cfg; }
 
   /// Bytes one arena can hold.
-  uint64_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
+  uint64_t arenaBytes() const { return uint64_t(1) << ArenaShift; }
 
   /// Live-object count of arena \p Index (test support).
   uint32_t arenaLiveCount(unsigned Index) const {
@@ -107,7 +108,7 @@ public:
 
   /// The arena containing \p Address (which must satisfy isArenaAddress).
   unsigned arenaIndexFor(uint64_t Address) const {
-    return static_cast<unsigned>((Address - Cfg.ArenaBase) / arenaBytes());
+    return static_cast<unsigned>((Address - Cfg.ArenaBase) >> ArenaShift);
   }
 
   /// Times arena \p Index has been reset; identifies which occupancy of
@@ -166,6 +167,7 @@ private:
   uint64_t bumpAllocate(uint32_t Size, uint64_t Need);
 
   Config Cfg;
+  unsigned ArenaShift = 0; ///< log2(arenaBytes()).
   Counters Stats;
   std::vector<Arena> Arenas;
   unsigned Current = 0;
@@ -173,7 +175,7 @@ private:
   FirstFitAllocator General;
   /// Payload size by arena address (simulation bookkeeping only — the
   /// modeled allocator stores nothing per object).
-  std::unordered_map<uint64_t, uint32_t> ArenaPayload;
+  FlatAddressMap ArenaPayload;
   uint64_t ArenaLiveBytes = 0;
   uint64_t MaxArenaLiveBytes = 0;
 };

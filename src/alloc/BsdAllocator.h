@@ -17,10 +17,10 @@
 
 #include "alloc/AllocatorSim.h"
 #include "support/BitmapFreeList.h"
+#include "support/FlatAddressMap.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lifepred {
@@ -114,8 +114,8 @@ private:
   std::vector<std::vector<uint64_t>> Buckets;
   /// Per-bucket bitmap free lists (FreeListKind::Bitmap).
   std::vector<BitmapFreeList> Bitmaps;
-  /// Bucket index by allocated address.
-  std::unordered_map<uint64_t, uint32_t> Live;
+  /// Payload size by allocated address.
+  FlatAddressMap Live;
   uint64_t HeapEnd;
   uint64_t MaxHeap = 0;
   uint64_t LiveBytes = 0;

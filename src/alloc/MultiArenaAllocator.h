@@ -21,10 +21,10 @@
 #define LIFEPRED_ALLOC_MULTIARENAALLOCATOR_H
 
 #include "alloc/FirstFitAllocator.h"
+#include "support/FlatAddressMap.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lifepred {
@@ -37,7 +37,8 @@ public:
   /// Band placed in the general heap / no predicted band.
   static constexpr uint8_t GeneralBand = 0xff;
 
-  /// Geometry of one band's arena area.
+  /// Geometry of one band's arena area.  AreaBytes / ArenaCount must be a
+  /// power of two, so an arena index is a shift of the address offset.
   struct BandConfig {
     uint64_t AreaBytes = 64 * 1024;
     unsigned ArenaCount = 16;
@@ -112,7 +113,7 @@ public:
   /// The arena of band \p Band containing \p Address.
   unsigned arenaIndexFor(uint8_t Band, uint64_t Address) const {
     const BandState &State = BandStates[Band];
-    return static_cast<unsigned>((Address - State.Base) / State.arenaBytes());
+    return static_cast<unsigned>((Address - State.Base) >> State.ArenaShift);
   }
 
   /// Reset count of arena \p Index in band \p Band.
@@ -164,11 +165,12 @@ private:
   struct BandState {
     BandConfig Cfg;
     uint64_t Base = 0; ///< Simulated base address of this band's area.
+    unsigned ArenaShift = 0; ///< log2(arenaBytes()).
     std::vector<Arena> Arenas;
     unsigned Current = 0;
     BandCounters Stats;
 
-    uint64_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
+    uint64_t arenaBytes() const { return uint64_t(1) << ArenaShift; }
   };
 
   uint64_t bumpAllocate(BandState &Band, uint32_t Size, uint64_t Need);
@@ -180,7 +182,7 @@ private:
   uint64_t GeneralAllocs = 0;
   uint64_t GeneralBytes = 0;
   /// Payload sizes of arena-held objects (simulation bookkeeping only).
-  std::unordered_map<uint64_t, uint32_t> ArenaPayload;
+  FlatAddressMap ArenaPayload;
   uint64_t ArenaLiveBytes = 0;
   uint64_t MaxArenaLiveBytes = 0;
 };

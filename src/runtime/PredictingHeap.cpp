@@ -13,6 +13,7 @@
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/StatsRegistry.h"
 
+#include <bit>
 #include <cassert>
 #include <new>
 
@@ -26,6 +27,9 @@ PredictingHeap::PredictingHeap(SiteDatabase Database, Config Config)
   assert(Cfg.ArenaCount > 0 && Cfg.AreaBytes % Cfg.ArenaCount == 0 &&
          "arena area must divide evenly");
   assert(isPowerOf2(Cfg.Alignment) && "alignment must be a power of two");
+  assert(isPowerOf2(Cfg.AreaBytes / Cfg.ArenaCount) &&
+         "arena size must be a power of two");
+  ArenaShift = std::countr_zero(Cfg.AreaBytes / Cfg.ArenaCount);
   Area = std::make_unique<unsigned char[]>(Cfg.AreaBytes);
   Arenas.resize(Cfg.ArenaCount);
 }
@@ -39,7 +43,7 @@ bool PredictingHeap::isArenaPointer(const void *Ptr) const {
 
 void *PredictingHeap::bump(size_t Need, size_t Size) {
   Arena &A = Arenas[Current];
-  void *Ptr = Area.get() + Current * arenaBytes() + A.AllocPtr;
+  void *Ptr = Area.get() + (size_t(Current) << ArenaShift) + A.AllocPtr;
   A.AllocPtr += Need;
   ++A.LiveCount;
   ++Counters.ArenaAllocs;
@@ -50,8 +54,10 @@ void *PredictingHeap::bump(size_t Need, size_t Size) {
 void *PredictingHeap::allocateImpl(size_t Size, bool Predicted) {
   // Zero-size requests consume one granule so every returned pointer is
   // distinct (malloc(0) semantics; a zero-width bump would hand out the
-  // same arena pointer twice).
-  size_t Need = alignTo(Size == 0 ? 1 : Size, Cfg.Alignment);
+  // same arena pointer twice).  Alignment is a power of two, so rounding
+  // up is a mask rather than a division.
+  size_t Need =
+      ((Size == 0 ? 1 : Size) + Cfg.Alignment - 1) & ~(Cfg.Alignment - 1);
   if (Predicted && Need <= arenaBytes()) {
     if (Arenas[Current].AllocPtr + Need <= arenaBytes())
       return bump(Need, Size);
@@ -92,7 +98,7 @@ void PredictingHeap::recordBirth(const void *Ptr, size_t Size, bool Predicted,
     auto Offset =
         static_cast<size_t>(static_cast<const unsigned char *>(Ptr) -
                             Area.get());
-    Placement.ArenaIndex = static_cast<uint32_t>(Offset / arenaBytes());
+    Placement.ArenaIndex = static_cast<uint32_t>(Offset >> ArenaShift);
     Placement.Generation = Arenas[Placement.ArenaIndex].Generation;
   }
   Recorder->recordAlloc(Id, ByteClock, Site, static_cast<uint32_t>(Size),
@@ -210,7 +216,7 @@ void PredictingHeap::deallocate(void *Ptr) {
   if (isArenaPointer(Ptr)) {
     auto Offset = static_cast<size_t>(static_cast<unsigned char *>(Ptr) -
                                       Area.get());
-    Arena &A = Arenas[Offset / arenaBytes()];
+    Arena &A = Arenas[Offset >> ArenaShift];
     assert(A.LiveCount > 0 && "arena live count underflow");
     --A.LiveCount;
     return;
@@ -244,7 +250,7 @@ bool PredictingHeap::auditInvariants(std::string &Error) const {
       continue;
     auto Offset = static_cast<size_t>(
         static_cast<const unsigned char *>(Ptr) - Area.get());
-    unsigned Index = static_cast<unsigned>(Offset / arenaBytes());
+    unsigned Index = static_cast<unsigned>(Offset >> ArenaShift);
     if (Offset - Index * arenaBytes() >= Arenas[Index].AllocPtr)
       return Fail("recorded live object above the bump pointer in arena " +
                   std::to_string(Index));

@@ -38,7 +38,8 @@ class StatsRegistry;
 /// Profile-driven two-strategy heap.
 class PredictingHeap {
 public:
-  /// Geometry of the real arena area.
+  /// Geometry of the real arena area.  AreaBytes / ArenaCount must be a
+  /// power of two, so an arena index is a shift of the pointer offset.
   struct Config {
     size_t AreaBytes = 64 * 1024;
     unsigned ArenaCount = 16;
@@ -133,7 +134,7 @@ private:
     uint64_t Generation = 0; ///< Incremented at every reset.
   };
 
-  size_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
+  size_t arenaBytes() const { return size_t(1) << ArenaShift; }
   void *bump(size_t Need, size_t Size);
   void *allocateImpl(size_t Size, bool Predicted);
   void recordBirth(const void *Ptr, size_t Size, bool Predicted,
@@ -141,6 +142,7 @@ private:
 
   SiteDatabase Database;
   Config Cfg;
+  unsigned ArenaShift = 0; ///< log2(arenaBytes()).
   Stats Counters;
   mutable std::mutex Lock; ///< Used only when Cfg.ThreadSafe.
   std::unique_ptr<unsigned char[]> Area; ///< The contiguous arena area.

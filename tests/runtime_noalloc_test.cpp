@@ -6,10 +6,16 @@
 // and a counter increment.  This binary replaces the global operator
 // new/delete with counting versions and checks that the real heap's arena
 // path under lastN(4) never reaches them: building the site key, probing
-// the database and bumping the arena must not allocate.
+// the database and bumping the arena must not allocate.  The same holds for
+// the simulated heaps: once warm, a steady allocate/free churn on the
+// Kingsley same-class path, the arena bump path and a band's bump path
+// must not reach operator new either.
 //
 //===----------------------------------------------------------------------===//
 
+#include "alloc/ArenaAllocator.h"
+#include "alloc/BsdAllocator.h"
+#include "alloc/MultiArenaAllocator.h"
 #include "callchain/ShadowStack.h"
 #include "runtime/PredictingHeap.h"
 
@@ -106,4 +112,65 @@ TEST(RuntimeNoAllocTest, CounterSeesTheGeneralPath) {
   ShadowStack::current().clear();
   EXPECT_EQ(NewCalls, 100u);
   EXPECT_FALSE(AllArena);
+}
+
+namespace {
+
+/// Global operator new calls during \p Rounds bursts of 50 allocate /
+/// free pairs through \p Allocate and \p Heap.free, after one unmeasured
+/// warm-up burst that sizes the heap's bookkeeping.
+template <typename HeapT, typename AllocFn>
+uint64_t simNewCallsAfterWarmup(HeapT &Heap, AllocFn Allocate,
+                                unsigned Rounds) {
+  std::array<uint64_t, 50> Burst{};
+  auto RunBurst = [&] {
+    for (uint64_t &Addr : Burst)
+      Addr = Allocate(Heap);
+    for (uint64_t Addr : Burst)
+      Heap.free(Addr);
+  };
+  RunBurst();
+  uint64_t Before = GlobalNewCalls.load(std::memory_order_relaxed);
+  for (unsigned R = 0; R < Rounds; ++R)
+    RunBurst();
+  return GlobalNewCalls.load(std::memory_order_relaxed) - Before;
+}
+
+} // namespace
+
+TEST(SimNoAllocTest, BsdSameClassChurnNeverCallsOperatorNew) {
+  BsdAllocator Heap;
+  uint64_t NewCalls = simNewCallsAfterWarmup(
+      Heap, [](BsdAllocator &H) { return H.allocate(ObjectSize); }, 200);
+  EXPECT_EQ(NewCalls, 0u);
+  EXPECT_EQ(Heap.counters().Allocs, 201u * 50);
+  EXPECT_EQ(Heap.counters().PageRefills, 1u);
+}
+
+TEST(SimNoAllocTest, ArenaBumpChurnNeverCallsOperatorNew) {
+  ArenaAllocator Heap;
+  uint64_t NewCalls = simNewCallsAfterWarmup(
+      Heap,
+      [](ArenaAllocator &H) {
+        return H.allocate(ObjectSize, /*PredictedShortLived=*/true);
+      },
+      200);
+  EXPECT_EQ(NewCalls, 0u);
+  EXPECT_EQ(Heap.counters().ArenaAllocs, 201u * 50);
+  EXPECT_EQ(Heap.counters().GeneralAllocs, 0u);
+  EXPECT_GT(Heap.counters().Resets, 0u);
+}
+
+TEST(SimNoAllocTest, MultiArenaBandChurnNeverCallsOperatorNew) {
+  MultiArenaAllocator::Config Config;
+  Config.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
+  MultiArenaAllocator Heap(Config);
+  uint64_t NewCalls = simNewCallsAfterWarmup(
+      Heap,
+      [](MultiArenaAllocator &H) { return H.allocate(ObjectSize, 1); },
+      200);
+  EXPECT_EQ(NewCalls, 0u);
+  EXPECT_EQ(Heap.bandCounters(1).Allocs, 201u * 50);
+  EXPECT_EQ(Heap.bandCounters(1).Fallbacks, 0u);
+  EXPECT_EQ(Heap.generalAllocs(), 0u);
 }
