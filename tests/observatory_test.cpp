@@ -8,11 +8,16 @@
 // expectations, jobs-invariance of every non-timing observatory key
 // (thread pools of 1, 2, and 8 produce byte-identical filtered registry
 // output), streamed-vs-in-memory probe equality, the LatencyRecorder
-// sampling schedule and its timing-key classification, and the
-// perf-trajectory ledger round trip.
+// sampling schedule and its timing-key classification, the
+// perf-trajectory ledger round trip, and a sanity check of every allocator
+// family's live-span walk.
 //
 //===----------------------------------------------------------------------===//
 
+#include "alloc/ArenaAllocator.h"
+#include "alloc/BsdAllocator.h"
+#include "alloc/FirstFitAllocator.h"
+#include "alloc/MultiArenaAllocator.h"
 #include "core/Pipeline.h"
 #include "sim/SimTelemetry.h"
 #include "sim/StreamReplay.h"
@@ -33,6 +38,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -795,3 +803,100 @@ TEST(PerfLedgerTest, SparklineScalesToOwnRange) {
   EXPECT_FALSE(sparkline({5.0, 5.0, 5.0}).empty());
   EXPECT_TRUE(sparkline({}).empty());
 }
+
+//===----------------------------------------------------------------------===//
+// Live-span walks of every allocator family
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One allocator family as the span-walk test drives it: a factory and an
+/// allocate that routes predicted-short requests to the arena path where
+/// the family has one.
+struct SpanFamily {
+  const char *Name;
+  std::unique_ptr<AllocatorSim> (*Make)();
+  uint64_t (*Allocate)(AllocatorSim &Heap, uint32_t Size, bool Short);
+};
+
+const SpanFamily SpanFamilies[] = {
+    {"FirstFit", [] { return std::unique_ptr<AllocatorSim>(
+                          std::make_unique<FirstFitAllocator>()); },
+     [](AllocatorSim &Heap, uint32_t Size, bool) {
+       return Heap.allocate(Size);
+     }},
+    {"Bsd", [] { return std::unique_ptr<AllocatorSim>(
+                     std::make_unique<BsdAllocator>()); },
+     [](AllocatorSim &Heap, uint32_t Size, bool) {
+       return Heap.allocate(Size);
+     }},
+    {"Arena", [] { return std::unique_ptr<AllocatorSim>(
+                       std::make_unique<ArenaAllocator>()); },
+     [](AllocatorSim &Heap, uint32_t Size, bool Short) {
+       return static_cast<ArenaAllocator &>(Heap).allocate(Size, Short);
+     }},
+    {"MultiArena",
+     [] {
+       MultiArenaAllocator::Config Config;
+       Config.Bands = {{8 * 1024, 4}, {32 * 1024, 8}};
+       return std::unique_ptr<AllocatorSim>(
+           std::make_unique<MultiArenaAllocator>(Config));
+     },
+     [](AllocatorSim &Heap, uint32_t Size, bool Short) {
+       return static_cast<MultiArenaAllocator &>(Heap).allocate(
+           Size, Short ? static_cast<uint8_t>(Size & 1)
+                       : MultiArenaAllocator::GeneralBand);
+     }},
+};
+
+void PrintTo(const SpanFamily &Family, std::ostream *OS) { *OS << Family.Name; }
+
+class SpanWalkTest : public ::testing::TestWithParam<SpanFamily> {};
+
+} // namespace
+
+TEST_P(SpanWalkTest, LiveSpansAreTheLiveObjectsAndFitTheHeap) {
+  const SpanFamily &Family = GetParam();
+  std::unique_ptr<AllocatorSim> Heap = Family.Make();
+  // Sizes straddle 64 bytes and reach past an arena, so size classes,
+  // payload sizes and the oversize route all appear.
+  const uint32_t Sizes[] = {1, 8, 24, 40, 63, 64, 65, 100, 200, 1000, 5000};
+  Rng R(77);
+  std::map<uint64_t, uint32_t> Live;
+  for (int Op = 0; Op < 6000; ++Op) {
+    if (!Live.empty() && R.nextBool(0.45)) {
+      auto It = Live.begin();
+      std::advance(It, R.nextBelow(Live.size()));
+      Heap->free(It->first);
+      Live.erase(It);
+      continue;
+    }
+    uint32_t Size = Sizes[R.nextBelow(std::size(Sizes))];
+    uint64_t Addr = Family.Allocate(*Heap, Size, R.nextBool(0.7));
+    ASSERT_TRUE(Live.emplace(Addr, Size).second) << "address reused live";
+  }
+  ASSERT_FALSE(Live.empty());
+
+  uint64_t SpanBytes = 0;
+  std::map<uint64_t, uint64_t> Spans;
+  Heap->forEachLiveSpan([&](uint64_t Addr, uint64_t Bytes) {
+    EXPECT_TRUE(Spans.emplace(Addr, Bytes).second) << "visited twice";
+    SpanBytes += Bytes;
+  });
+  EXPECT_LE(SpanBytes, Heap->heapBytes());
+  ASSERT_EQ(Spans.size(), Live.size());
+  const auto *Bsd = dynamic_cast<const BsdAllocator *>(Heap.get());
+  for (const auto &[Addr, Size] : Live) {
+    auto It = Spans.find(Addr);
+    ASSERT_NE(It, Spans.end()) << "live object " << Addr << " not visited";
+    // Kingsley reports the rounded block; every other family its payload.
+    uint64_t Want = Bsd ? uint64_t(1) << Bsd->bucketFor(Size) : Size;
+    EXPECT_EQ(It->second, Want) << Family.Name << " size " << Size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFamilies, SpanWalkTest, ::testing::ValuesIn(SpanFamilies),
+    [](const ::testing::TestParamInfo<SpanFamily> &Info) {
+      return std::string(Info.param.Name);
+    });
