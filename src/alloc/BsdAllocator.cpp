@@ -19,7 +19,7 @@ BsdAllocator::BsdAllocator() : BsdAllocator(Config()) {}
 BsdAllocator::BsdAllocator(Config Config)
     : Cfg(Config), HeapEnd(Config.BaseAddress) {
   assert(isPowerOf2(Cfg.MinBlockBytes) && "min block must be a power of 2");
-  Buckets.resize(40);
+  Buckets.resize(BucketCount);
   if (Cfg.FreeList == FreeListKind::Bitmap) {
     Bitmaps.resize(Buckets.size());
     for (unsigned Bucket = 0; Bucket < Bitmaps.size(); ++Bucket) {
@@ -29,13 +29,6 @@ BsdAllocator::BsdAllocator(Config Config)
       Bitmaps[Bucket].configure(BlockBytes, Extent / BlockBytes);
     }
   }
-}
-
-unsigned BsdAllocator::bucketFor(uint32_t Size) const {
-  uint64_t Need = Size + Cfg.HeaderBytes;
-  if (Need < Cfg.MinBlockBytes)
-    Need = Cfg.MinBlockBytes;
-  return log2Ceil(Need);
 }
 
 uint64_t BsdAllocator::allocate(uint32_t Size) {

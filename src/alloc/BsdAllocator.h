@@ -18,6 +18,7 @@
 #include "alloc/AllocatorSim.h"
 #include "support/BitmapFreeList.h"
 #include "support/FlatAddressMap.h"
+#include "support/MathExtras.h"
 
 #include <cstdint>
 #include <string>
@@ -41,7 +42,8 @@ public:
     /// Lifo, but every counter, the heap trajectory, and the exported
     /// telemetry are bit-identical — refills happen iff the class is
     /// empty, which is a placement-independent condition.  This is the
-    /// batched-replay fast path's policy.
+    /// serial reference for the serving engine's CAS bitmap shards
+    /// (alloc/ShardedHeap.h), which must match it address for address.
     Bitmap,
   };
 
@@ -76,8 +78,19 @@ public:
   const Counters &counters() const { return Stats; }
   const Config &config() const { return Cfg; }
 
-  /// The size class (bucket index) serving \p Size (test support).
-  unsigned bucketFor(uint32_t Size) const;
+  /// Size classes: bucket B holds blocks of 2^B bytes.
+  static constexpr unsigned BucketCount = 40;
+
+  /// The size class (bucket index) serving \p Size under \p C.
+  static unsigned bucketFor(const Config &C, uint32_t Size) {
+    uint64_t Need = Size + C.HeaderBytes;
+    if (Need < C.MinBlockBytes)
+      Need = C.MinBlockBytes;
+    return log2Ceil(Need);
+  }
+
+  /// The size class (bucket index) serving \p Size.
+  unsigned bucketFor(uint32_t Size) const { return bucketFor(Cfg, Size); }
 
   /// Blocks parked across all size-class free lists.
   size_t freeBlockCount() const override;

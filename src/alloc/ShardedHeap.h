@@ -309,8 +309,8 @@ public:
                        const std::string &Prefix) const;
 
   /// Feeds one fragmentation sample at \p Clock: bulk per-class free and
-  /// live span counts (the batched-BSD convention — spans at the rounded
-  /// block size).  Quiescent only.
+  /// live span counts (spans at the rounded block size, as
+  /// BsdAllocator::forEachLiveSpan reports them).  Quiescent only.
   void sampleFragmentation(uint64_t Clock, FragmentationProbe &Probe) const;
 
 private:

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Replays on-disk schedule files (trace/ScheduleFile.h): the billion-event
-/// tier.  Three replay shapes, in increasing speed (see the entry-point
-/// table in sim/TraceSimulator.h):
+/// tier.  Two replay shapes (see the entry-point table in
+/// sim/TraceSimulator.h):
 ///
 ///  * **Sequential streamed** (streamSimulateFirstFit / streamSimulateBsd):
 ///    the in-memory simulators' own consumer, driven by the ScheduleFile
@@ -17,25 +17,20 @@
 ///    equivalence the schedule tests pin.  Resident memory stays O(chunk +
 ///    live slots): each chunk's pages are dropped once replayed, and the
 ///    address table is indexed by slot.  Defined in TraceSimulator.cpp,
-///    next to the consumer they share.
+///    next to the consumer they share.  Placement-level telemetry (probe,
+///    heatmap, latency, timeline) attaches to this shape only.
 ///
-///  * **Batched streamed** (streamSimulateBsdBatched): the Kingsley fast
-///    path.  Events are processed in batches, stably partitioned by size
-///    class, so per-class order is the sequential order; the per-class
-///    free lists are bitmaps (support/BitmapFreeList.h), and the live map
-///    is a flat slot-indexed array — no hash map on the hot path.  Counters
-///    and exported registry values remain bit-identical to the sequential
-///    BSD replay; live-byte peaks come from the file header.
-///
-///  * **Sharded** (streamReplayBsdSharded): shards of a *fixed* number of
-///    chunks replay independently — each worker warms a fresh allocator
-///    from the chunk's live-in table, then replays its chunks — and shard
-///    telemetry merges in shard index order.  The partition depends only
-///    on the file and ChunksPerShard, never on the worker count, so the
-///    merged output is bit-identical at any --jobs.  Shard placement is
-///    *not* the sequential placement (each shard's heap starts empty);
-///    what sharding answers is throughput scaling, with self-consistent
-///    per-shard telemetry.
+///  * **Kingsley scan** (streamSimulateBsdBatched / streamReplayBsdSharded):
+///    Kingsley never splits, coalesces, or moves a block between size
+///    classes, so every value it reports is a function of per-class live
+///    counts.  A kernel reduces each chunk to per-class count deltas and
+///    running maxima relative to the chunk's entry — no addresses, no free
+///    lists, no slot table — and a combine step folds the chunk summaries
+///    in chunk order into the allocator's counters, heap peak, live peak
+///    and the "bsd." registry values, exactly as the sequential replay
+///    reports them.  The two entry points run the same kernel and combine;
+///    the sharded one runs the kernel's chunks on a thread pool, so its
+///    output is the sequential one at any pool size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +44,6 @@
 #include "trace/ScheduleFile.h"
 
 #include <cstdint>
-
-namespace lifepred {
-class HeapHeatmap;
-}
 
 namespace lifepred {
 
@@ -81,54 +72,32 @@ StreamSimResult streamSimulateBsd(
     BsdAllocator::Config Config = BsdAllocator::Config(),
     SimTelemetry *Telemetry = nullptr);
 
-/// The Kingsley grand-challenge fast path: batched size-class dispatch +
-/// bitmap free lists + flat slot table.  Counters and the "bsd." registry
-/// export are bit-identical to streamSimulateBsd/simulateBsd; MaxLiveBytes
-/// is the file's precomputed peak.  \p Telemetry feeds the registry only
-/// (no timeline: batching permutes clock order within a batch).
+/// The Kingsley scan on one thread.  Counters, MaxHeapBytes, MaxLiveBytes
+/// and the "bsd." registry values a non-null \p Registry receives equal
+/// streamSimulateBsd's / simulateBsd's.
 StreamSimResult streamSimulateBsdBatched(
     const ScheduleFile &File, const CostModel &Costs = {},
     BsdAllocator::Config Config = BsdAllocator::Config(),
-    size_t BatchEvents = 8192, SimTelemetry *Telemetry = nullptr);
+    StatsRegistry *Registry = nullptr);
 
 /// Results of a sharded replay.
 struct ShardedBsdResult {
-  BsdAllocator::Counters Totals; ///< Summed over shards (includes warm-up).
-  uint64_t WarmupAllocs = 0;     ///< Live-in allocations, not trace events.
-  uint64_t MaxLiveBytes = 0;     ///< The file's global live peak.
-  uint64_t Events = 0;           ///< Trace events replayed (excl. warm-up).
-  uint64_t Shards = 0;
+  BsdAllocator::Counters Totals; ///< The sequential replay's counters.
+  uint64_t WarmupAllocs = 0;     ///< Always 0: the scan warms up nothing.
+  uint64_t MaxHeapBytes = 0;     ///< The sequential heap peak.
+  uint64_t MaxLiveBytes = 0;     ///< The sequential live-byte peak.
+  uint64_t Events = 0;           ///< Trace events replayed.
+  uint64_t Shards = 0;           ///< Chunks scanned, one pool task each.
 };
 
-/// Observatory configuration for the sharded replay, which runs one probe
-/// set per shard (a SimTelemetry holds exactly one of each sink, so it
-/// cannot express per-shard collection).  Per-shard probes export into the
-/// registry under "shard." in shard index order; since the shard partition
-/// is jobs-independent, so is every exported value.
-struct StreamObserveConfig {
-  /// Byte-clock stride of each shard's fragmentation probe.
-  uint64_t FragStrideBytes = uint64_t(1) << 20;
-  /// Sample period of each shard's latency recorder.
-  uint32_t LatencyPeriod = 64;
-  /// When non-null, each shard builds a heatmap with this sink's geometry
-  /// and the results merge here cell-wise in shard index order — columns
-  /// use the file's global byte clock, so shard columns align.
-  HeapHeatmap *MergedHeatmap = nullptr;
-};
-
-/// Replays \p File as shards of \p ChunksPerShard consecutive chunks, fanned
-/// across \p Pool.  Each shard runs the batched Kingsley core on a fresh
-/// heap warmed from its first chunk's live-in table.  A non-null
-/// \p Registry receives each shard's counters under "shard.", merged in
-/// shard index order — the partition is a property of the file and
-/// \p ChunksPerShard alone, so output is identical at any pool size.  A
-/// non-null \p Observe additionally runs per-shard fragmentation probes,
-/// latency recorders, and (optionally) heatmaps, exported the same way.
+/// The Kingsley scan with one pool task per chunk of \p File, combined in
+/// chunk order, so every result is the sequential one at any pool size.
+/// A non-null \p Registry receives the "bsd." values of
+/// streamSimulateBsdBatched under "shard.", plus "shard.count".
 ShardedBsdResult streamReplayBsdSharded(
     const ScheduleFile &File, ThreadPool &Pool,
     BsdAllocator::Config Config = BsdAllocator::Config(),
-    StatsRegistry *Registry = nullptr, uint64_t ChunksPerShard = 1,
-    const StreamObserveConfig *Observe = nullptr);
+    StatsRegistry *Registry = nullptr);
 
 } // namespace lifepred
 

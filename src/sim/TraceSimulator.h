@@ -24,16 +24,18 @@
 ///   | CompiledTrace   | multi-arena | class bands | simulateMultiArena       |
 ///   | ScheduleFile    | first fit   | none        | streamSimulateFirstFit   |
 ///   | ScheduleFile    | BSD         | none        | streamSimulateBsd        |
-///   | .sched, batched | BSD         | none        | streamSimulateBsdBatched |
+///   | .sched, scan    | BSD         | none        | streamSimulateBsdBatched |
 ///   | .sched, sharded | BSD         | none        | streamReplayBsdSharded   |
 ///
 /// The sequential rows share one consumer per family, driven by
 /// forEachEvent over either source (trace/CompiledTrace.h,
-/// trace/ScheduleFile.h); the last two run the batched Kingsley core in
-/// sim/StreamReplay.cpp.  Compile a trace once and share the CompiledTrace
-/// across sweeps, repeats and --jobs fan-outs: it is immutable and safe to
-/// use from many threads.  Results are bit-identical to the replayTrace
-/// oracle (asserted in tests/sim_test.cpp).
+/// trace/ScheduleFile.h); the last two run the Kingsley count scan in
+/// sim/StreamReplay.cpp (per-class live counts, no allocator), serially
+/// and one pool task per chunk, and report simulateBsd's values.  Compile
+/// a trace once and share the CompiledTrace across sweeps, repeats and
+/// --jobs fan-outs: it is immutable and safe to use from many threads.
+/// Results are bit-identical to the replayTrace oracle (asserted in
+/// tests/sim_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,7 +11,7 @@
 /// block says whether it is free.  pop() returns the *lowest free
 /// address* — find-first-set from a cursor — instead of the LIFO stack's
 /// most-recently-freed block, trading the stack's locality for O(1) space
-/// per block (1 bit vs 8 bytes) and branch-lean batched replay.
+/// per block (1 bit vs 8 bytes).
 ///
 /// Address <-> bit mapping: extents are appended in allocation order, and
 /// the simulated heap only grows, so extent bases are strictly increasing
@@ -53,7 +53,6 @@ public:
 
   bool empty() const { return FreeCount == 0; }
   uint64_t freeCount() const { return FreeCount; }
-  uint64_t blockCount() const { return Blocks; }
 
   /// Registers a freshly carved extent at \p Base; all of its blocks start
   /// free.  Bases must arrive in increasing address order (the simulated
@@ -111,14 +110,6 @@ public:
   template <typename FnT> void forEachFree(FnT &&F) const {
     for (uint64_t Bit = 0; Bit < Blocks; ++Bit)
       if (Words[Bit >> 6] & (uint64_t(1) << (Bit & 63)))
-        F(ExtentBases[Bit / PerExtent] + (Bit % PerExtent) * BlockBytes);
-  }
-
-  /// Invokes \p F with the address of every allocated block — the bitmap
-  /// complement of forEachFree (heatmap/observatory support).
-  template <typename FnT> void forEachLive(FnT &&F) const {
-    for (uint64_t Bit = 0; Bit < Blocks; ++Bit)
-      if (!(Words[Bit >> 6] & (uint64_t(1) << (Bit & 63))))
         F(ExtentBases[Bit / PerExtent] + (Bit % PerExtent) * BlockBytes);
   }
 

@@ -12,6 +12,7 @@
 #ifndef LIFEPRED_SUPPORT_MATHEXTRAS_H
 #define LIFEPRED_SUPPORT_MATHEXTRAS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -32,15 +33,9 @@ constexpr uint64_t alignDown(uint64_t Value, uint64_t Align) {
   return Align == 0 ? Value : (Value / Align) * Align;
 }
 
-/// Returns ceil(log2(Value)) for Value >= 1.
+/// Returns ceil(log2(Value)), and 0 for Value <= 1.
 constexpr unsigned log2Ceil(uint64_t Value) {
-  unsigned Bits = 0;
-  uint64_t Pow = 1;
-  while (Pow < Value) {
-    Pow <<= 1;
-    ++Bits;
-  }
-  return Bits;
+  return Value <= 1 ? 0 : static_cast<unsigned>(std::bit_width(Value - 1));
 }
 
 /// Returns the smallest power of two >= \p Value (Value >= 1).

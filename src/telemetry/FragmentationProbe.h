@@ -54,7 +54,7 @@ public:
   void addLiveSpan(uint64_t Bytes) { addLiveSpans(Bytes, 1); }
 
   /// Bulk forms for size-class allocators that know "N blocks of B bytes"
-  /// without enumerating addresses (the batched replay path).
+  /// without enumerating addresses (the serving engine's CAS shards).
   void addFreeSpans(uint64_t Bytes, uint64_t Count);
   void addLiveSpans(uint64_t Bytes, uint64_t Count);
 

@@ -63,27 +63,6 @@ void HeapHeatmap::endColumn() {
   NextClock = (uint64_t(CurColumn) + 1) * Cfg.ClockStride;
 }
 
-void HeapHeatmap::merge(const HeapHeatmap &Other) {
-  assert(Cfg.BytesPerRow == Other.Cfg.BytesPerRow &&
-         Cfg.ClockStride == Other.Cfg.ClockStride &&
-         "merging heatmaps of different geometry");
-  for (const auto &[Row, Cells] : Other.Rows) {
-    auto It = Rows.find(Row);
-    if (It == Rows.end()) {
-      if (Rows.size() >= Cfg.MaxRows) {
-        for (const auto &[Col, Bytes] : Cells)
-          Clipped += Bytes;
-        continue;
-      }
-      It = Rows.emplace(Row, std::map<uint32_t, uint64_t>()).first;
-    }
-    for (const auto &[Col, Bytes] : Cells)
-      It->second[Col] += Bytes;
-  }
-  Clipped += Other.Clipped;
-  NextClock = std::max(NextClock, Other.NextClock);
-}
-
 uint64_t HeapHeatmap::columnCount() const {
   uint64_t MaxColumn = 0;
   bool Any = false;

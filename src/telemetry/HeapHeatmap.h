@@ -17,8 +17,7 @@
 /// simulated address space has islands (arena areas near 2^20, general
 /// heaps at 2^40), and a dense matrix over that range would be absurd.
 /// Cell values are order-independent sums, so scan order never changes the
-/// matrix, and merge() makes shard-local heatmaps combine into the global
-/// picture by cell-wise addition.
+/// matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,10 +66,6 @@ public:
 
   /// Closes the open column and advances the stride cursor.
   void endColumn();
-
-  /// Cell-wise addition of \p Other (same geometry required), for merging
-  /// shard-local heatmaps in shard-index order.
-  void merge(const HeapHeatmap &Other);
 
   /// Number of distinct address rows / populated columns.
   uint64_t rowCount() const { return Rows.size(); }

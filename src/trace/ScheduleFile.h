@@ -24,12 +24,11 @@
 ///
 ///  * **Chunk live-in tables.**  The event stream is cut into fixed-size
 ///    chunks (the streaming/madvise granularity).  Each chunk's index
-///    entry records the (slot, size) set live at its entry, so a sharded
-///    replayer can warm up a fresh allocator at any chunk boundary and
-///    replay chunks independently.  The chunk partition is a property of
-///    the *file*, never of the worker count, which is what keeps sharded
-///    telemetry bit-identical at any --jobs (shards merge in index order;
-///    see sim/StreamReplay.h).
+///    entry records the (slot, size) set live at its entry.  No replay
+///    reads the tables: the sharded Kingsley scan needs only each chunk's
+///    events (see sim/StreamReplay.h).  The chunk partition is a property
+///    of the *file*, never of the worker count, which is what keeps that
+///    scan's output identical at any --jobs.
 ///
 /// The writer is incremental: append() accepts one trace segment at a
 /// time, offsetting byte clocks so segments concatenate into one monotonic

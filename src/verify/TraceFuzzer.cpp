@@ -222,7 +222,7 @@ void genGrandChallenge(AllocationTrace &Trace, Rng &Rand, size_t Objects) {
   // writer's slot space) stays O(1) in the object count and consecutive
   // segments concatenate with empty live-in seams.  Sizes sweep the whole
   // Kingsley bucket spectrum — mostly sub-128 B churn, a mid band, and
-  // rare page-scale spikes — so the batched replay touches many classes.
+  // rare page-scale spikes — so a replay touches many classes.
   std::vector<uint32_t> Pool = makeChainPool(Trace, Rand, 64, 6);
   uint64_t Clock = 0;
   for (size_t I = 0; I < Objects; ++I) {

@@ -3,7 +3,7 @@
 // Part of the lifepred project (Barrett & Zorn, PLDI 1993 reproduction).
 //
 // Covers the heap observatory: FragmentationProbe arithmetic and golden
-// JSON, HeapHeatmap cell placement / merge / clipping and golden JSON, a
+// JSON, HeapHeatmap cell placement / clipping and golden JSON, a
 // hand-built ten-op trace replayed through first fit with hand-computed
 // expectations, jobs-invariance of every non-timing observatory key
 // (thread pools of 1, 2, and 8 produce byte-identical filtered registry
@@ -268,26 +268,6 @@ TEST(HeapHeatmapTest, CellPlacementAndRowSplit) {
   EXPECT_EQ(Map.cellBytes(0, 250), 10u);
   EXPECT_EQ(Map.cellBytes(0, 0), 24u);
   EXPECT_EQ(Map.occupiedCells(), 3u);
-}
-
-TEST(HeapHeatmapTest, MergeAddsCellwise) {
-  HeapHeatmap::Config Config;
-  Config.BytesPerRow = 64;
-  Config.ClockStride = 100;
-  HeapHeatmap A(Config), B(Config);
-  A.beginColumn(0);
-  A.addSpan(0, 10);
-  A.endColumn();
-  B.beginColumn(0);
-  B.addSpan(0, 5);
-  B.endColumn();
-  B.beginColumn(100);
-  B.addSpan(64, 7);
-  B.endColumn();
-  A.merge(B);
-  EXPECT_EQ(A.cellBytes(0, 0), 15u);
-  EXPECT_EQ(A.cellBytes(64, 100), 7u);
-  EXPECT_EQ(A.occupiedCells(), 2u);
 }
 
 TEST(HeapHeatmapTest, RowCapClipsAndAccounts) {
@@ -593,12 +573,10 @@ TEST(ObservatoryJobsTest, ValueKeysIdenticalAtAnyJobCount) {
     StatsRegistry Merged;
     for (StatsRegistry &Program : PerProgram)
       Merged.merge(Program);
-    // The heatmaps merge in program order too, like the sharded path.
-    HeapHeatmap Combined(MapConfig);
-    for (const HeapHeatmap &Map : Maps)
-      Combined.merge(Map);
+    // The heatmaps render in program order.
     std::string MapJson;
-    Combined.writeJson(MapJson, "");
+    for (const HeapHeatmap &Map : Maps)
+      Map.writeJson(MapJson, "");
     return valueKeysOnly(Merged) + MapJson;
   };
 
@@ -610,43 +588,6 @@ TEST(ObservatoryJobsTest, ValueKeysIdenticalAtAnyJobCount) {
   EXPECT_TRUE(AtOne.find("bsd.frag.samples") != std::string::npos);
   EXPECT_EQ(AtOne, AtTwo);
   EXPECT_EQ(AtOne, AtEight);
-}
-
-TEST(ObservatoryJobsTest, ShardedObservatoryInvariantAcrossPools) {
-  AllocationTrace T = makeSyntheticTrace(0x51a4, 6000);
-  const std::string Path = tempPath("observatory_shard.sched");
-  ScheduleFileWriter::Config WriterConfig;
-  WriterConfig.EventsPerChunk = 1024;
-  ScheduleFileWriter Writer(Path, WriterConfig);
-  Writer.append(T);
-  ASSERT_TRUE(Writer.finish()) << Writer.error();
-  std::string Error;
-  auto File = ScheduleFile::open(Path, Error);
-  ASSERT_TRUE(File) << Error;
-  ASSERT_GT(File->chunkCount(), 2u) << "need several shards";
-
-  auto RunAtJobs = [&](size_t Jobs) {
-    ThreadPool Pool(Jobs);
-    StatsRegistry Registry;
-    HeapHeatmap::Config MapConfig;
-    MapConfig.ClockStride = 32 * 1024;
-    HeapHeatmap Merged(MapConfig);
-    StreamObserveConfig Observe;
-    Observe.FragStrideBytes = 32 * 1024;
-    Observe.MergedHeatmap = &Merged;
-    streamReplayBsdSharded(*File, Pool, BsdAllocator::Config(), &Registry,
-                           /*ChunksPerShard=*/1, &Observe);
-    std::string MapJson;
-    Merged.writeJson(MapJson, "");
-    return valueKeysOnly(Registry) + MapJson;
-  };
-
-  const std::string AtOne = RunAtJobs(1);
-  const std::string AtFour = RunAtJobs(4);
-  EXPECT_TRUE(AtOne.find("shard.frag.samples") != std::string::npos);
-  EXPECT_TRUE(AtOne.find("shard.heatmap.rows") != std::string::npos);
-  EXPECT_EQ(AtOne, AtFour);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,22 +6,25 @@
 ///
 /// \file
 /// The streamed-replay equivalence suite.  Pins the billion-event tier's
-/// three load-bearing claims:
+/// load-bearing claims:
 ///
 ///  * streamed replay of a .sched file exports a registry byte-identical
 ///    to the in-memory simulators on the same trace, for every paper
-///    workload, and the sharded replay's merged registry is identical at
-///    --jobs 1, 2, and 8;
+///    workload;
+///  * the Kingsley scan (streamSimulateBsdBatched, streamReplayBsdSharded)
+///    reports exactly what simulateBsd reports — counters, heap and live
+///    peaks, the full "bsd." registry, and "shard." keys equal to the
+///    "bsd." ones — on every corpus trace, fuzz profile and paper program,
+///    at every tested chunk size and pool size;
 ///  * chunk live-in tables describe the heap exactly as it stands before
 ///    the chunk's first event, even when objects straddle chunk
 ///    boundaries (tiny EventsPerChunk forces straddling);
-///  * the batched bitmap fast path stays in lockstep with the BSD
-///    free-list allocator on every shadow-oracle-validated corpus trace;
 ///  * corrupt or truncated .sched files are rejected at open(), and an
 ///    out-of-range event slot aborts the replay naming its chunk.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "callchain/CallChain.h"
 #include "sim/SimTelemetry.h"
 #include "sim/StreamReplay.h"
 #include "sim/TraceSimulator.h"
@@ -79,6 +82,85 @@ std::string registryJson(const StatsRegistry &Registry) {
   return Out;
 }
 
+/// \p Sharded's "shard." keys renamed to "bsd.", "shard.count" left out:
+/// the registry the sharded scan must agree with one key for one.
+StatsRegistry shardKeysAsBsd(const StatsRegistry &Sharded) {
+  const std::string Shard = "shard.";
+  auto Rename = [&](const std::string &Name) {
+    EXPECT_EQ(Name.compare(0, Shard.size(), Shard), 0) << Name;
+    return "bsd." + Name.substr(Shard.size());
+  };
+  StatsRegistry Out;
+  for (const auto &[Name, Value] : Sharded.counters())
+    Out.counter(Rename(Name)) = Value;
+  for (const auto &[Name, Value] : Sharded.gauges())
+    if (Name != "shard.count")
+      Out.gauge(Rename(Name)) = Value;
+  for (const auto &[Name, Histogram] : Sharded.histograms())
+    Out.histogram(Rename(Name)) = Histogram;
+  return Out;
+}
+
+/// Expects both Kingsley-scan entry points, run over \p File (which holds
+/// \p Trace), to report exactly what simulateBsd reports on \p Trace:
+/// counters, heap and live peaks, and the full "bsd." registry, which the
+/// sharded scan's "shard." keys must equal one for one — at pools of 1,
+/// 2 and 8.
+void expectScanMatchesBsd(const AllocationTrace &Trace,
+                          const ScheduleFile &File, const std::string &Label) {
+  StatsRegistry Reference;
+  SimTelemetry Telemetry;
+  Telemetry.Registry = &Reference;
+  const BaselineSimResult Mem =
+      simulateBsd(CompiledTrace(Trace), {}, {}, &Telemetry);
+
+  StatsRegistry Batched;
+  const StreamSimResult Scan = streamSimulateBsdBatched(File, {}, {}, &Batched);
+  EXPECT_EQ(Mem.Bsd, Scan.Bsd) << Label;
+  EXPECT_EQ(Mem.MaxHeapBytes, Scan.MaxHeapBytes) << Label;
+  EXPECT_EQ(Mem.MaxLiveBytes, Scan.MaxLiveBytes) << Label;
+  EXPECT_EQ(File.maxLiveBytes(), Scan.MaxLiveBytes) << Label;
+  EXPECT_EQ(File.eventCount(), Scan.Events) << Label;
+  EXPECT_EQ(registryJson(Reference), registryJson(Batched)) << Label;
+
+  for (unsigned Jobs : {1u, 2u, 8u}) {
+    ThreadPool Pool(Jobs);
+    StatsRegistry Sharded;
+    const ShardedBsdResult Result =
+        streamReplayBsdSharded(File, Pool, {}, &Sharded);
+    EXPECT_EQ(Mem.Bsd, Result.Totals) << Label << " jobs=" << Jobs;
+    EXPECT_EQ(Mem.MaxHeapBytes, Result.MaxHeapBytes)
+        << Label << " jobs=" << Jobs;
+    EXPECT_EQ(Mem.MaxLiveBytes, Result.MaxLiveBytes)
+        << Label << " jobs=" << Jobs;
+    EXPECT_EQ(File.eventCount(), Result.Events) << Label << " jobs=" << Jobs;
+    EXPECT_EQ(Result.WarmupAllocs, 0u) << Label << " jobs=" << Jobs;
+    EXPECT_EQ(Sharded.gauges().at("shard.count"), File.chunkCount())
+        << Label << " jobs=" << Jobs;
+    EXPECT_EQ(registryJson(Reference), registryJson(shardKeysAsBsd(Sharded)))
+        << Label << " jobs=" << Jobs;
+  }
+}
+
+/// Writes \p Trace at each of \p ChunkSizes events per chunk and runs
+/// expectScanMatchesBsd on every file.  Chunks of 7 events put nearly
+/// every object's free in a later chunk than its alloc.
+void expectScanMatchesBsdPerChunkSize(
+    const AllocationTrace &Trace, const std::string &Name,
+    std::initializer_list<uint64_t> ChunkSizes = {7, 256, 4096}) {
+  for (uint64_t EventsPerChunk : ChunkSizes) {
+    const std::string Label =
+        Name + " chunk=" + std::to_string(EventsPerChunk);
+    std::string Path;
+    std::optional<ScheduleFile> File = roundTrip(
+        Trace, Name + "_" + std::to_string(EventsPerChunk) + ".sched",
+        EventsPerChunk, Path);
+    ASSERT_TRUE(File.has_value()) << Label;
+    expectScanMatchesBsd(Trace, *File, Label);
+    std::remove(Path.c_str());
+  }
+}
+
 class PaperWorkloadScheduleTest : public testing::TestWithParam<ProgramModel> {
 protected:
   AllocationTrace trace() const {
@@ -126,19 +208,6 @@ TEST_P(PaperWorkloadScheduleTest, StreamedRegistryMatchesInMemory) {
   EXPECT_EQ(MemBsd.MaxLiveBytes, StreamBsd.MaxLiveBytes);
   EXPECT_EQ(MemBsd.Bsd.Allocs, StreamBsd.Bsd.Allocs);
   EXPECT_EQ(MemBsd.Bsd.PageRefills, StreamBsd.Bsd.PageRefills);
-
-  // The batched bitmap fast path exports the same "bsd." registry values.
-  StatsRegistry Batched;
-  SimTelemetry BatchTel;
-  BatchTel.Registry = &Batched;
-  StreamSimResult Fast = streamSimulateBsdBatched(*File, {}, {}, 512, &BatchTel);
-  EXPECT_EQ(MemBsd.Bsd.Allocs, Fast.Bsd.Allocs);
-  EXPECT_EQ(MemBsd.Bsd.Frees, Fast.Bsd.Frees);
-  EXPECT_EQ(MemBsd.Bsd.PageRefills, Fast.Bsd.PageRefills);
-  EXPECT_EQ(MemBsd.Bsd.BucketBits, Fast.Bsd.BucketBits);
-  EXPECT_EQ(MemBsd.MaxHeapBytes, Fast.MaxHeapBytes);
-  EXPECT_EQ(MemBsd.MaxLiveBytes, Fast.MaxLiveBytes);
-
   std::remove(Path.c_str());
 }
 
@@ -157,6 +226,7 @@ TEST_P(PaperWorkloadScheduleTest, ShardedRegistryIdenticalAcrossJobs) {
     ShardedBsdResult Result =
         streamReplayBsdSharded(*File, Pool, {}, &Registry);
     EXPECT_EQ(Result.Events, File->eventCount());
+    EXPECT_EQ(Result.Shards, File->chunkCount());
     std::string Json = registryJson(Registry);
     if (Reference.empty())
       Reference = Json;
@@ -165,6 +235,14 @@ TEST_P(PaperWorkloadScheduleTest, ShardedRegistryIdenticalAcrossJobs) {
                                  << Jobs;
   }
   std::remove(Path.c_str());
+}
+
+// The paper programs skip 7-event chunks: their live-in tables, one entry
+// per live object per chunk, would reach hundreds of megabytes.  The
+// corpus and fuzz traces below cover that chunk size.
+TEST_P(PaperWorkloadScheduleTest, KingsleyScanMatchesInMemory) {
+  expectScanMatchesBsdPerChunkSize(
+      trace(), GetParam().Name + std::string("_scan"), {256, 4096});
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -186,7 +264,7 @@ INSTANTIATE_TEST_SUITE_P(
 // With EventsPerChunk far below the trace's live-object count, most
 // objects die in a later chunk than they were born in.  Every chunk's
 // live-in table must then describe the heap exactly as it stands before
-// the chunk's first event — the state a shard warm-up reconstructs.
+// the chunk's first event.
 TEST(ScheduleChunkTest, LiveInTablesDescribeStateBeforeChunk) {
   AllocationTrace Trace = generateFuzzTrace(FuzzProfile::Uniform, 7, 500);
   std::string Path;
@@ -234,23 +312,72 @@ TEST(ScheduleChunkTest, LiveInTablesDescribeStateBeforeChunk) {
       ImmortalBytes += Record.Size;
   EXPECT_EQ(LiveBytes, ImmortalBytes);
 
-  // Straddling must not disturb equivalence: the streamed sequential and
-  // batched replays still match the in-memory simulation bit for bit.
+  // Straddling must not disturb equivalence: the streamed sequential
+  // replay and the Kingsley scan still match the in-memory simulation bit
+  // for bit, the scan at every chunk size.
   BaselineSimResult Mem = simulateBsd(CompiledTrace(Trace));
   StreamSimResult Seq = streamSimulateBsd(*File);
-  StreamSimResult Fast = streamSimulateBsdBatched(*File, {}, {}, 32);
-  EXPECT_EQ(Mem.Bsd.Allocs, Seq.Bsd.Allocs);
-  EXPECT_EQ(Mem.Bsd.PageRefills, Seq.Bsd.PageRefills);
+  EXPECT_EQ(Mem.Bsd, Seq.Bsd);
   EXPECT_EQ(Mem.MaxHeapBytes, Seq.MaxHeapBytes);
-  EXPECT_EQ(Mem.Bsd.Allocs, Fast.Bsd.Allocs);
-  EXPECT_EQ(Mem.Bsd.PageRefills, Fast.Bsd.PageRefills);
-  EXPECT_EQ(Mem.Bsd.BucketBits, Fast.Bsd.BucketBits);
-  EXPECT_EQ(Mem.MaxHeapBytes, Fast.MaxHeapBytes);
+  std::remove(Path.c_str());
+  expectScanMatchesBsdPerChunkSize(Trace, "straddle_scan");
+}
+
+// One hand-built trace whose chunks pin the combine's two subtle points.
+// Class A (5000-byte payloads: 8 KiB blocks, one per 8 KiB extent, so its
+// refills are its peak live count) runs, two events per chunk:
+//   chunk 0: alloc R0, alloc R1     A live 2
+//   chunk 1: alloc R2, alloc R3     A peaks at 3, entering with 2 live
+//   chunk 2: free R0, free R1       frees only: adds nothing to A's peak
+//   chunk 3: alloc R4, free R2
+// R3 and R4 are immortal 8-byte objects of another class.  Dropping the
+// entry offset would peak A at 2 in chunk 1; a relative maximum that did
+// not start at 0 would let chunk 2 lower or wrap A's peak.
+TEST(KingsleyScanTest, PeakAboveChunkEntryAndFreeOnlyChunk) {
+  AllocationTrace Trace;
+  const uint32_t Chain = Trace.internChain(CallChain{1, 2});
+  // Post-alloc clocks 5000, 10000, 15000, 15008, 15016; R0 and R1 die at
+  // 15008 (before R4's alloc, after R3's), R2 at 15100 (after R4's).
+  Trace.append({10008, 5000, Chain, 1});
+  Trace.append({5008, 5000, Chain, 1});
+  Trace.append({100, 5000, Chain, 1});
+  Trace.append({NeverFreed, 8, Chain, 1});
+  Trace.append({NeverFreed, 8, Chain, 1});
+  std::string Path;
+  std::optional<ScheduleFile> File =
+      roundTrip(Trace, "scan_edges.sched", 2, Path);
+  ASSERT_TRUE(File.has_value());
+
+  // The premise: the chunks hold exactly the events sketched above.
+  const uint32_t Free = EventSchedule::FreeBit;
+  const std::vector<std::pair<uint32_t, uint32_t>> Expected[] = {
+      {{0, 5000}, {0, 5000}},
+      {{0, 5000}, {0, 8}},
+      {{Free, 5000}, {Free, 5000}},
+      {{0, 8}, {Free, 5000}}};
+  ASSERT_EQ(File->chunkCount(), std::size(Expected));
+  for (uint64_t Chunk = 0; Chunk < File->chunkCount(); ++Chunk) {
+    ASSERT_EQ(File->chunk(Chunk).EventCount, Expected[Chunk].size());
+    for (size_t I = 0; I < Expected[Chunk].size(); ++I) {
+      const ScheduleEvent &Event = File->chunkEvents(Chunk)[I];
+      EXPECT_EQ(Event.TaggedSlot & Free, Expected[Chunk][I].first)
+          << "chunk " << Chunk << " event " << I;
+      EXPECT_EQ(Event.Size, Expected[Chunk][I].second)
+          << "chunk " << Chunk << " event " << I;
+    }
+  }
+
+  // Three class-A extents plus one page of 16-byte blocks.
+  const StreamSimResult Scan = streamSimulateBsdBatched(*File);
+  EXPECT_EQ(Scan.Bsd.PageRefills, 4u);
+  EXPECT_EQ(Scan.MaxHeapBytes, 4u * 8192);
+  EXPECT_EQ(Scan.MaxLiveBytes, 15008u);
+  expectScanMatchesBsd(Trace, *File, "scan_edges");
   std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// Bitmap fast path vs the shadow-oracle-validated allocator
+// The Kingsley scan vs the shadow-oracle-validated allocator
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -268,6 +395,8 @@ std::vector<std::string> corpusFiles() {
 
 class BitmapLockstepTest : public testing::TestWithParam<std::string> {};
 
+class FuzzProfileScanTest : public testing::TestWithParam<FuzzProfile> {};
+
 } // namespace
 
 TEST_P(BitmapLockstepTest, MatchesShadowCheckedBsdOnCorpusTrace) {
@@ -281,25 +410,9 @@ TEST_P(BitmapLockstepTest, MatchesShadowCheckedBsdOnCorpusTrace) {
       shadowCheckBsd(*Trace, BsdAllocator::Config(), ReplayPath::Compiled);
   ASSERT_TRUE(Report.clean()) << Report.summary();
 
-  // ...and the bitmap fast path must stay in lockstep with that reference.
-  std::string Path;
-  std::string Name =
-      std::filesystem::path(GetParam()).stem().string() + ".sched";
-  std::optional<ScheduleFile> File = roundTrip(*Trace, Name, 256, Path);
-  ASSERT_TRUE(File.has_value());
-  BaselineSimResult Mem = simulateBsd(CompiledTrace(*Trace));
-  for (size_t BatchEvents : {7u, 512u}) { // Odd size exercises tail batches.
-    StreamSimResult Fast = streamSimulateBsdBatched(*File, {}, {}, BatchEvents);
-    EXPECT_EQ(Mem.Bsd.Allocs, Fast.Bsd.Allocs) << "batch=" << BatchEvents;
-    EXPECT_EQ(Mem.Bsd.Frees, Fast.Bsd.Frees) << "batch=" << BatchEvents;
-    EXPECT_EQ(Mem.Bsd.PageRefills, Fast.Bsd.PageRefills)
-        << "batch=" << BatchEvents;
-    EXPECT_EQ(Mem.Bsd.BucketBits, Fast.Bsd.BucketBits)
-        << "batch=" << BatchEvents;
-    EXPECT_EQ(Mem.MaxHeapBytes, Fast.MaxHeapBytes) << "batch=" << BatchEvents;
-    EXPECT_EQ(Mem.MaxLiveBytes, Fast.MaxLiveBytes) << "batch=" << BatchEvents;
-  }
-  std::remove(Path.c_str());
+  // ...and the Kingsley scan must report exactly what it reports.
+  expectScanMatchesBsdPerChunkSize(
+      *Trace, std::filesystem::path(GetParam()).stem().string());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -311,6 +424,18 @@ INSTANTIATE_TEST_SUITE_P(
           [](char C) { return !std::isalnum(static_cast<unsigned char>(C)); },
           '_');
       return Name;
+    });
+
+TEST_P(FuzzProfileScanTest, MatchesInMemoryBsd) {
+  expectScanMatchesBsdPerChunkSize(
+      generateFuzzTrace(GetParam(), 1993, 1500),
+      std::string("fuzz_") + profileName(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProfiles, FuzzProfileScanTest, testing::ValuesIn(allProfiles()),
+    [](const testing::TestParamInfo<FuzzProfile> &Info) {
+      return std::string(profileName(Info.param));
     });
 
 //===----------------------------------------------------------------------===//

@@ -162,6 +162,28 @@ TEST(MathExtrasTest, Log2CeilAndNextPowerOf2) {
   EXPECT_EQ(log2Ceil(2), 1u);
   EXPECT_EQ(log2Ceil(3), 2u);
   EXPECT_EQ(log2Ceil(4096), 12u);
+
+  // The closed form agrees with the shift loop it replaced on every small
+  // input, 0 included...
+  auto LoopLog2Ceil = [](uint64_t Value) {
+    unsigned Bits = 0;
+    for (uint64_t Pow = 1; Pow < Value; Pow <<= 1)
+      ++Bits;
+    return Bits;
+  };
+  for (uint64_t Value = 0; Value <= (uint64_t(1) << 20); ++Value)
+    ASSERT_EQ(log2Ceil(Value), LoopLog2Ceil(Value)) << "value " << Value;
+  // ...is exact on both sides of every power of two...
+  for (unsigned K = 1; K < 64; ++K) {
+    const uint64_t Pow = uint64_t(1) << K;
+    EXPECT_EQ(log2Ceil(Pow - 1), K == 1 ? 0u : K) << "2^" << K << " - 1";
+    EXPECT_EQ(log2Ceil(Pow), K) << "2^" << K;
+    EXPECT_EQ(log2Ceil(Pow + 1), K + 1) << "2^" << K << " + 1";
+  }
+  // ...and terminates above 2^63, where the loop's power overflowed to 0.
+  EXPECT_EQ(log2Ceil((uint64_t(1) << 63) + 1), 64u);
+  EXPECT_EQ(log2Ceil(~uint64_t(0)), 64u);
+
   EXPECT_EQ(nextPowerOf2(5), 8u);
   EXPECT_EQ(nextPowerOf2(8), 8u);
 }
