@@ -98,12 +98,12 @@ struct RunManifest {
   std::string Program; ///< --program filter; empty = all.
 
   /// Serving-engine provenance (bench_sim_throughput --serve), so
-  /// bench_compare / trace_tool history can identify scaling runs: engine
-  /// worker threads and tenant count, plus run totals of the
-  /// interleaving-dependent contention counters.  Manifest entries are
-  /// provenance notes, never gated values — contention totals vary run to
-  /// run by design.  Zero outside serving mode; the manifest JSON carries
-  /// them only when Threads is nonzero.
+  /// bench_compare can identify scaling runs: engine worker threads and
+  /// tenant count, plus run totals of the interleaving-dependent
+  /// contention counters.  Manifest entries are provenance notes, never
+  /// gated values — contention totals vary run to run by design.  Zero
+  /// outside serving mode; the manifest JSON carries them only when
+  /// Threads is nonzero.
   unsigned Threads = 0;
   unsigned Tenants = 0;
   uint64_t ContentionCasRetries = 0;

@@ -591,9 +591,9 @@ int runGrandChallenge(const CommandLine &Cl, const BenchOptions &Options,
               static_cast<unsigned long long>(SchedConfig.EventsPerChunk));
 
   // Synthesis: bounded segments appended to the writer.  Every
-  // grandchallenge object is freed within its segment, so segments
-  // concatenate with empty live-in seams and peak memory is one segment's
-  // trace plus the writer's buffers.
+  // grandchallenge object is freed within its segment, so no object is
+  // live across a segment seam and peak memory is one segment's trace
+  // plus the writer's buffers.
   double SynthStart = wallTimeSeconds();
   ScheduleFileWriter Writer(SchedPath, SchedConfig);
   uint64_t Segment = 0;

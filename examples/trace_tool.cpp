@@ -21,9 +21,10 @@
 //       Compile a workload (or an existing trace file) into the mmap-able
 //       on-disk schedule format that the streamed replay tier consumes.
 //   trace_tool schedule-info <file.sched>
-//       Validate a schedule file's header and chunk index and print its
-//       layout; corrupt or truncated files are rejected with a diagnostic
-//       and a non-zero exit, never a crash.
+//       Validate a schedule file's header and size and print its layout,
+//       with each chunk's start clock and peak live bytes from one pass
+//       over the events; corrupt, truncated or padded files are rejected
+//       with a diagnostic and a non-zero exit, never a crash.
 //   trace_tool report <old.json> <new.json> [--tol=R] [--time-tol=R]
 //       Diff two --json bench reports (same engine as bench_compare);
 //       non-zero exit on regression.
@@ -36,11 +37,6 @@
 //       plus a fragmentation and latency summary.  --json writes a
 //       bench_compare-gateable report, --heatmap-out a standalone heatmap
 //       JSON, --trace-out chrome://tracing occupancy counters.
-//   trace_tool history <history-dir> [--metric=GLOB] [--window=N] [--tol=R]
-//       Render the perf-trajectory ledgers appended by bench_compare
-//       --append-history: one sparkline per metric, flagging metrics whose
-//       latest value regressed against the trailing window; exit 2 when
-//       any metric is flagged.
 //   trace_tool audit <program|all> [--scale=S] [--seed=N] [--jobs=J]
 //                       [--json=F] [--audit-out=F] [--trace-out=F]
 //       Run the Table 7 workload (train on the train trace, replay the
@@ -93,7 +89,6 @@
 #include "telemetry/FragmentationProbe.h"
 #include "telemetry/HeapHeatmap.h"
 #include "telemetry/LatencyRecorder.h"
-#include "telemetry/PerfLedger.h"
 #include "telemetry/ReportDiff.h"
 #include "telemetry/TraceEventWriter.h"
 #include "trace/ScheduleFile.h"
@@ -103,6 +98,7 @@
 #include "workloads/Programs.h"
 #include "workloads/WorkloadRunner.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -135,9 +131,6 @@ int usage() {
                "                          [--scale=S] [--test] [--stride=N] "
                "[--json=F]\n"
                "                          [--heatmap-out=F] [--trace-out=F]\n"
-               "       trace_tool history <history-dir> [--metric=GLOB] "
-               "[--window=N] [--tol=R]\n"
-               "                          [--limit=N]\n"
                "       trace_tool audit <program|all> [--scale=S] "
                "[--seed=N] [--jobs=J]\n"
                "                        [--json=F] [--audit-out=F] "
@@ -635,26 +628,6 @@ int runHeatmap(const CommandLine &Cl, const std::string &Source) {
   return 0;
 }
 
-/// The history subcommand: renders the perf-trajectory ledgers and exits
-/// 2 when any metric's latest value regressed against its trailing window.
-int runHistory(const CommandLine &Cl, const std::string &Dir) {
-  HistoryOptions Options;
-  Options.MetricGlob = Cl.getString("metric", "*");
-  long Window = Cl.getInt("window", 8);
-  if (Window > 0)
-    Options.Window = static_cast<size_t>(Window);
-  Options.Tolerance = Cl.getDouble("tol", 0.10);
-  long Limit = Cl.getInt("limit", 0);
-  if (Limit > 0)
-    Options.Limit = static_cast<size_t>(Limit);
-  int Flagged = renderHistory(Dir, Options, stdout);
-  if (Flagged < 0) {
-    std::fprintf(stderr, "error: no ledgers under %s\n", Dir.c_str());
-    return 1;
-  }
-  return Flagged > 0 ? 2 : 0;
-}
-
 std::optional<AllocationTrace> loadTrace(const std::string &Path) {
   // Try binary first (its magic makes the format self-identifying),
   // then fall back to text.
@@ -711,12 +684,6 @@ int main(int Argc, char **Argv) {
     if (Args.size() != 2)
       return usage();
     return runRetrain(Cl, Args[1]);
-  }
-
-  if (Command == "history") {
-    if (Args.size() != 2)
-      return usage();
-    return runHistory(Cl, Args[1]);
   }
 
   if (Command == "generate") {
@@ -805,8 +772,7 @@ int main(int Argc, char **Argv) {
     std::string Error;
     auto File = ScheduleFile::open(Args[1], Error);
     if (!File) {
-      std::fprintf(stderr, "error: %s: %s\n", Args[1].c_str(),
-                   Error.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str()); // Names the path.
       return 1;
     }
     std::printf("schedule:         %s\n", Args[1].c_str());
@@ -828,27 +794,41 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(File->eventsPerChunk()));
     std::printf("chunks:           %llu\n",
                 static_cast<unsigned long long>(File->chunkCount()));
-    std::printf("live-in entries:  %llu\n",
-                static_cast<unsigned long long>(File->liveInCount()));
-    // Per-chunk summary, elided in the middle for huge schedules.
-    uint64_t Chunks = File->chunkCount();
+    // Per-chunk summary from one pass over the events, printed with the
+    // middle elided for huge schedules.  A chunk starts at the clock of
+    // the event before it; its peak live counts the bytes live at entry.
+    const uint64_t Chunks = File->chunkCount();
+    uint64_t Clock = 0, LiveBytes = 0;
+    File->adviseSequential();
     for (uint64_t I = 0; I < Chunks; ++I) {
-      if (Chunks > 12 && I == 6) {
-        std::printf("  ... %llu chunks elided ...\n",
-                    static_cast<unsigned long long>(Chunks - 12));
-        I = Chunks - 6;
+      const uint64_t StartClock = Clock;
+      uint64_t PeakLive = LiveBytes;
+      const ScheduleEvent *Events = File->chunkEvents(I);
+      const uint64_t Count = File->chunkEventCount(I);
+      for (uint64_t E = 0; E < Count; ++E) {
+        if (Events[E].TaggedSlot & EventSchedule::FreeBit) {
+          LiveBytes -= Events[E].Size;
+        } else {
+          LiveBytes += Events[E].Size;
+          PeakLive = std::max(PeakLive, LiveBytes);
+        }
+        Clock = Events[E].Clock;
       }
-      const ScheduleChunkInfo &Info = File->chunk(I);
+      File->dropChunk(I);
+      if (Chunks > 12 && I >= 6 && I < Chunks - 6) {
+        if (I == 6)
+          std::printf("  ... %llu chunks elided ...\n",
+                      static_cast<unsigned long long>(Chunks - 12));
+        continue;
+      }
+      const uint64_t First = I * File->eventsPerChunk();
       std::printf("  chunk %4llu: events [%llu, %llu)  start clock %llu  "
-                  "live-in %llu objs / %llu B  peak live %llu B\n",
+                  "peak live %llu B\n",
                   static_cast<unsigned long long>(I),
-                  static_cast<unsigned long long>(Info.FirstEvent),
-                  static_cast<unsigned long long>(Info.FirstEvent +
-                                                  Info.EventCount),
-                  static_cast<unsigned long long>(Info.StartClock),
-                  static_cast<unsigned long long>(Info.LiveInCount),
-                  static_cast<unsigned long long>(Info.LiveInBytes),
-                  static_cast<unsigned long long>(Info.MaxLiveBytes));
+                  static_cast<unsigned long long>(First),
+                  static_cast<unsigned long long>(First + Count),
+                  static_cast<unsigned long long>(StartClock),
+                  static_cast<unsigned long long>(PeakLive));
     }
     return 0;
   }

@@ -38,7 +38,7 @@ ChunkSummary scanChunk(const ScheduleFile &File, uint64_t Chunk,
                        const BsdAllocator::Config &Config) {
   ChunkSummary Out;
   const ScheduleEvent *Events = File.chunkEvents(Chunk);
-  const uint64_t Count = File.chunk(Chunk).EventCount;
+  const uint64_t Count = File.chunkEventCount(Chunk);
   const uint64_t SlotCount = File.slotCount();
   int64_t Bytes = 0;
   for (uint64_t I = 0; I < Count; ++I) {

@@ -6,7 +6,6 @@
 
 #include "telemetry/DriftObservatory.h"
 
-#include "telemetry/PerfLedger.h"
 #include "telemetry/StatsRegistry.h"
 #include "telemetry/TraceEventWriter.h"
 
@@ -273,6 +272,27 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
 //===----------------------------------------------------------------------===//
 // Rendering
 //===----------------------------------------------------------------------===//
+
+std::string lifepred::sparkline(const std::vector<double> &Series) {
+  static const char *Blocks[] = {"▁", "▂", "▃", "▄",
+                                 "▅", "▆", "▇", "█"};
+  if (Series.empty())
+    return "";
+  double Min = Series[0], Max = Series[0];
+  for (double V : Series) {
+    Min = std::min(Min, V);
+    Max = std::max(Max, V);
+  }
+  std::string Out;
+  for (double V : Series) {
+    size_t Level =
+        Max == Min
+            ? 0
+            : static_cast<size_t>((V - Min) / (Max - Min) * 7.0 + 0.5);
+    Out += Blocks[std::min<size_t>(Level, 7)];
+  }
+  return Out;
+}
 
 namespace {
 

@@ -239,6 +239,10 @@ DriftReport buildDriftReport(const DriftObservatory &Obs,
 /// Prints the human-readable drift report with per-window sparklines.
 void printDriftReport(const DriftReport &Report, std::FILE *Out);
 
+/// Unicode sparkline of \p Series scaled to its own min/max: one block
+/// character per window in printDriftReport's rows.
+std::string sparkline(const std::vector<double> &Series);
+
 /// Appends the report as a fully ordered JSON object (byte-identical for
 /// byte-identical reports).  \p Indent prefixes every emitted line.
 void writeDriftJson(const DriftReport &Report, std::string &Out,

@@ -7,10 +7,10 @@
 #include "telemetry/ReportDiff.h"
 
 #include "support/Json.h"
-#include "telemetry/PerfLedger.h"
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -235,21 +235,31 @@ int usage() {
   std::fprintf(stderr,
                "usage: bench_compare <old.json> <new.json> [--tol=R] "
                "[--time-tol=R] [--ignore=GLOB]... [--quiet]\n"
-               "       bench_compare --append-history <report.json> "
-               "[--history-dir=DIR]\n"
                "  --tol=R       relative tolerance for value metrics "
                "(default 1e-9)\n"
                "  --time-tol=R  relative tolerance for timing and "
                "contention metrics (default: not compared)\n"
                "  --ignore=GLOB exclude matching metric keys from the diff "
                "('*' any run, '?' one char); repeatable\n"
-               "  --append-history   append the report's manifest and "
-               "headline metrics to the perf-trajectory ledger\n"
-               "  --history-dir=DIR  ledger directory (default "
-               "bench/history)\n"
                "exit status: 0 no regression, 1 regression, 2 bad "
                "invocation or unreadable input\n");
   return 2;
+}
+
+/// Parses the value of tolerance flag \p Arg (from \p Prefix on) into
+/// \p Out: a finite, non-negative number with nothing after it.  atof
+/// would read "abc" as 0, a silent exact gate, and "1e-9x" as 1e-9.
+bool parseTolerance(const std::string &Arg, size_t Prefix, double &Out) {
+  const char *Begin = Arg.c_str() + Prefix;
+  char *End = nullptr;
+  double Value = std::strtod(Begin, &End);
+  if (End == Begin || *End != '\0' || !std::isfinite(Value) || Value < 0) {
+    std::fprintf(stderr, "error: %s: want a non-negative number\n",
+                 Arg.c_str());
+    return false;
+  }
+  Out = Value;
+  return true;
 }
 
 } // namespace
@@ -258,38 +268,21 @@ int lifepred::runBenchCompare(const std::vector<std::string> &Args) {
   std::vector<std::string> Paths;
   DiffOptions Options;
   bool Quiet = false;
-  bool AppendHistory = false;
-  std::string HistoryDir = "bench/history";
   for (const std::string &Arg : Args) {
-    if (Arg.rfind("--tol=", 0) == 0)
-      Options.ValueTolerance = std::atof(Arg.c_str() + 6);
-    else if (Arg.rfind("--time-tol=", 0) == 0)
-      Options.TimeTolerance = std::atof(Arg.c_str() + 11);
-    else if (Arg.rfind("--ignore=", 0) == 0)
+    if (Arg.rfind("--tol=", 0) == 0) {
+      if (!parseTolerance(Arg, 6, Options.ValueTolerance))
+        return 2;
+    } else if (Arg.rfind("--time-tol=", 0) == 0) {
+      if (!parseTolerance(Arg, 11, Options.TimeTolerance))
+        return 2;
+    } else if (Arg.rfind("--ignore=", 0) == 0)
       Options.IgnoreGlobs.push_back(Arg.substr(9));
     else if (Arg == "--quiet")
       Quiet = true;
-    else if (Arg == "--append-history")
-      AppendHistory = true;
-    else if (Arg.rfind("--history-dir=", 0) == 0)
-      HistoryDir = Arg.substr(14);
     else if (Arg.rfind("--", 0) == 0)
       return usage();
     else
       Paths.push_back(Arg);
-  }
-  if (AppendHistory) {
-    if (Paths.size() != 1)
-      return usage();
-    std::string Error;
-    if (!appendRunRecord(Paths[0], HistoryDir, Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 2;
-    }
-    if (!Quiet)
-      std::printf("appended %s to %s\n", Paths[0].c_str(),
-                  HistoryDir.c_str());
-    return 0;
   }
   if (Paths.size() != 2)
     return usage();

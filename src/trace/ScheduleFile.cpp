@@ -25,8 +25,9 @@ using namespace lifepred;
 
 namespace {
 
-// Fixed header layout (112 bytes).  Offsets are load-bearing: the reader
-// validates HeaderBytes against this exact size before trusting anything.
+// Fixed header layout (80 bytes); the events follow it directly.  Offsets
+// are load-bearing: Magic and Version sit where every earlier version put
+// them, so an old file is rejected by its version, not misread.
 struct FileHeader {
   char Magic[8];
   uint32_t Version;
@@ -38,14 +39,14 @@ struct FileHeader {
   uint64_t TotalAllocBytes;
   uint64_t MaxLiveBytes;
   uint64_t EventsPerChunk;
-  uint64_t ChunkCount;
-  uint64_t ChunkIndexOffset;
-  uint64_t LiveInCount;
-  uint64_t LiveInOffset;
-  uint64_t EventsOffset;
+  uint64_t Reserved; ///< Zero; keeps the events 16-byte aligned.
 };
 static_assert(sizeof(FileHeader) == ScheduleFile::HeaderBytes,
-              "header layout drifted from the documented 112 bytes");
+              "header layout drifted from the documented 80 bytes");
+// A 16-byte event that straddles two cache lines slows every replay scan
+// by about a sixth, so the event section starts on an event boundary.
+static_assert(ScheduleFile::HeaderBytes % sizeof(ScheduleEvent) == 0,
+              "events must stay 16-byte aligned in the mapping");
 
 constexpr size_t EventFlushCount = 1 << 16; // 1 MB write granularity.
 
@@ -89,38 +90,12 @@ void ScheduleFileWriter::flushEvents() {
   Buffer.clear();
 }
 
-void ScheduleFileWriter::beginChunk() {
-  if (!Chunks.empty()) {
-    Chunks.back().EventCount = Events - Chunks.back().FirstEvent;
-    Chunks.back().MaxLiveBytes = ChunkPeakLive;
-  }
-  ScheduleChunkInfo Info;
-  Info.FirstEvent = Events;
-  Info.StartClock = MaxClock;
-  Info.LiveInFirst = LiveIns.size();
-  Info.LiveInBytes = LiveBytesNow;
-  // The live set at the boundary, in slot order: everything a shard must
-  // re-allocate before replaying this chunk with a fresh allocator.
-  uint64_t LiveCount = 0;
-  for (uint32_t Slot = 0; Slot < NextSlot; ++Slot) {
-    if (SlotSizes[Slot] == DeadSlot)
-      continue;
-    LiveIns.push_back({Slot, static_cast<uint32_t>(SlotSizes[Slot])});
-    ++LiveCount;
-  }
-  Info.LiveInCount = LiveCount;
-  Chunks.push_back(Info);
-  ChunkPeakLive = LiveBytesNow;
-  EventsInChunk = 0;
-}
-
 void ScheduleFileWriter::writeEvent(uint32_t TaggedSlot, uint32_t Size,
                                     uint64_t Clock) {
   Buffer.push_back({TaggedSlot, Size, Clock});
   if (Buffer.size() >= EventFlushCount)
     flushEvents();
   ++Events;
-  ++EventsInChunk;
   MaxClock = Clock;
 }
 
@@ -135,17 +110,11 @@ void ScheduleFileWriter::append(const EventSchedule &Schedule,
   std::vector<uint32_t> IdToSlot(Trace.size());
 
   for (size_t Event = 0, Count = Schedule.size(); Event < Count; ++Event) {
-    // The chunk boundary is drawn *before* this event's state change, so
-    // the live-in table describes the heap as it stands when the chunk's
-    // first event has not yet run — exactly what a shard warm-up replays.
-    if (EventsInChunk == Cfg.EventsPerChunk || Events == 0)
-      beginChunk();
     uint32_t Tagged = Ids[Event];
     uint64_t Clock = Clocks[Event] + ClockOffset;
     if (Tagged & EventSchedule::FreeBit) {
       uint32_t Slot = IdToSlot[Tagged & ~EventSchedule::FreeBit];
-      uint32_t Size = static_cast<uint32_t>(SlotSizes[Slot]);
-      SlotSizes[Slot] = DeadSlot;
+      uint32_t Size = SlotSizes[Slot];
       FreeSlots.push_back(Slot);
       LiveBytesNow -= Size;
       writeEvent(Slot | EventSchedule::FreeBit, Size, Clock);
@@ -163,8 +132,6 @@ void ScheduleFileWriter::append(const EventSchedule &Schedule,
     }
     IdToSlot[Tagged] = Slot;
     LiveBytesNow += Size;
-    if (LiveBytesNow > ChunkPeakLive)
-      ChunkPeakLive = LiveBytesNow;
     if (LiveBytesNow > GlobalPeakLive)
       GlobalPeakLive = LiveBytesNow;
     TotalAllocBytes += Size;
@@ -188,10 +155,6 @@ bool ScheduleFileWriter::finish() {
   Finished = true;
   if (!valid())
     return false;
-  if (!Chunks.empty()) {
-    Chunks.back().EventCount = Events - Chunks.back().FirstEvent;
-    Chunks.back().MaxLiveBytes = ChunkPeakLive;
-  }
   flushEvents();
 
   FileHeader Header = {};
@@ -205,22 +168,7 @@ bool ScheduleFileWriter::finish() {
   Header.TotalAllocBytes = TotalAllocBytes;
   Header.MaxLiveBytes = GlobalPeakLive;
   Header.EventsPerChunk = Cfg.EventsPerChunk;
-  Header.ChunkCount = Chunks.size();
-  Header.EventsOffset = ScheduleFile::HeaderBytes;
-  Header.ChunkIndexOffset =
-      Header.EventsOffset + Events * sizeof(ScheduleEvent);
-  Header.LiveInOffset =
-      Header.ChunkIndexOffset + Chunks.size() * sizeof(ScheduleChunkInfo);
-  Header.LiveInCount = LiveIns.size();
 
-  if (!Chunks.empty() &&
-      std::fwrite(Chunks.data(), sizeof(ScheduleChunkInfo), Chunks.size(),
-                  Out) != Chunks.size())
-    Error = "short write of the chunk index";
-  if (Error.empty() && !LiveIns.empty() &&
-      std::fwrite(LiveIns.data(), sizeof(ScheduleLiveIn), LiveIns.size(),
-                  Out) != LiveIns.size())
-    Error = "short write of the live-in table";
   if (Error.empty()) {
     if (std::fseek(Out, 0, SEEK_SET) != 0 ||
         std::fwrite(&Header, sizeof(Header), 1, Out) != 1)
@@ -235,19 +183,6 @@ bool ScheduleFileWriter::finish() {
 //===----------------------------------------------------------------------===//
 // Reader
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// True when \p Count elements of \p ElemSize fit at \p Offset in a file
-/// of \p FileSize bytes, with no uint64 overflow possible.
-bool sectionFits(uint64_t Offset, uint64_t Count, uint64_t ElemSize,
-                 uint64_t FileSize) {
-  if (Offset > FileSize)
-    return false;
-  return Count <= (FileSize - Offset) / ElemSize;
-}
-
-} // namespace
 
 std::optional<ScheduleFile> ScheduleFile::open(const std::string &Path,
                                                std::string &Error) {
@@ -311,8 +246,6 @@ std::optional<ScheduleFile> ScheduleFile::open(const std::string &Path,
   if (Header.HeaderBytes != HeaderBytes)
     return Reject("unexpected header size " +
                   std::to_string(Header.HeaderBytes));
-  if (Header.EventsOffset != HeaderBytes)
-    return Reject("events section at unexpected offset");
   if (Header.AllocCount > Header.EventCount)
     return Reject("more allocations than events");
   if (Header.SlotCount > Header.AllocCount ||
@@ -320,28 +253,15 @@ std::optional<ScheduleFile> ScheduleFile::open(const std::string &Path,
     return Reject("implausible slot count");
   if (Header.EventsPerChunk == 0)
     return Reject("zero events per chunk");
-  uint64_t WantChunks =
-      Header.EventCount == 0
-          ? 0
-          : (Header.EventCount + Header.EventsPerChunk - 1) /
-                Header.EventsPerChunk;
-  if (Header.ChunkCount != WantChunks)
-    return Reject("chunk count disagrees with event count");
-  if (!sectionFits(Header.EventsOffset, Header.EventCount,
-                   sizeof(ScheduleEvent), File.MapBytes))
-    return Reject("event section exceeds the file");
-  if (!sectionFits(Header.ChunkIndexOffset, Header.ChunkCount,
-                   sizeof(ScheduleChunkInfo), File.MapBytes))
-    return Reject("chunk index exceeds the file");
-  if (!sectionFits(Header.LiveInOffset, Header.LiveInCount,
-                   sizeof(ScheduleLiveIn), File.MapBytes))
-    return Reject("live-in table exceeds the file");
-  if (Header.ChunkIndexOffset !=
-      Header.EventsOffset + Header.EventCount * sizeof(ScheduleEvent))
-    return Reject("chunk index at unexpected offset");
-  if (Header.LiveInOffset !=
-      Header.ChunkIndexOffset + Header.ChunkCount * sizeof(ScheduleChunkInfo))
-    return Reject("live-in table at unexpected offset");
+  // The events are the whole body: a short file is truncated, a long one
+  // is padded or carries sections this version does not define.  Dividing
+  // the body, rather than multiplying the count, cannot overflow.
+  const uint64_t BodyBytes = File.MapBytes - HeaderBytes;
+  if (BodyBytes % sizeof(ScheduleEvent) != 0 ||
+      BodyBytes / sizeof(ScheduleEvent) != Header.EventCount)
+    return Reject("file size " + std::to_string(File.MapBytes) +
+                  " disagrees with " + std::to_string(Header.EventCount) +
+                  " events");
 
   File.Events = Header.EventCount;
   File.Allocs = Header.AllocCount;
@@ -350,43 +270,10 @@ std::optional<ScheduleFile> ScheduleFile::open(const std::string &Path,
   File.AllocBytes = Header.TotalAllocBytes;
   File.MaxLive = Header.MaxLiveBytes;
   File.PerChunk = Header.EventsPerChunk;
-  File.ChunkTotal = Header.ChunkCount;
-  File.LiveInTotal = Header.LiveInCount;
+  File.ChunkTotal = Header.EventCount / Header.EventsPerChunk +
+                    (Header.EventCount % Header.EventsPerChunk != 0);
   File.EventBase =
-      reinterpret_cast<const ScheduleEvent *>(File.Map + Header.EventsOffset);
-  File.ChunkIndex = reinterpret_cast<const ScheduleChunkInfo *>(
-      File.Map + Header.ChunkIndexOffset);
-  File.LiveInBase =
-      reinterpret_cast<const ScheduleLiveIn *>(File.Map + Header.LiveInOffset);
-
-  // The chunk index must tile the event stream exactly and index the
-  // live-in table contiguously; a corrupt index is rejected here rather
-  // than crashing a replay.
-  uint64_t LiveInRunning = 0;
-  uint64_t PrevStart = 0;
-  for (uint64_t I = 0; I < File.ChunkTotal; ++I) {
-    const ScheduleChunkInfo &Info = File.ChunkIndex[I];
-    if (Info.FirstEvent != I * File.PerChunk)
-      return Reject("chunk " + std::to_string(I) + " misplaced");
-    uint64_t WantCount =
-        std::min(File.PerChunk, File.Events - Info.FirstEvent);
-    if (Info.EventCount != WantCount)
-      return Reject("chunk " + std::to_string(I) + " has a bad event count");
-    if (Info.LiveInFirst != LiveInRunning ||
-        Info.LiveInCount > File.LiveInTotal - LiveInRunning)
-      return Reject("chunk " + std::to_string(I) +
-                    " live-in range is inconsistent");
-    LiveInRunning += Info.LiveInCount;
-    if (Info.StartClock < PrevStart)
-      return Reject("chunk clocks are not monotonic");
-    PrevStart = Info.StartClock;
-  }
-  if (LiveInRunning != File.LiveInTotal)
-    return Reject("live-in table has unreferenced entries");
-  for (uint64_t I = 0; I < File.LiveInTotal; ++I)
-    if (File.LiveInBase[I].Slot >= File.Slots)
-      return Reject("live-in slot out of range");
-
+      reinterpret_cast<const ScheduleEvent *>(File.Map + HeaderBytes);
   return File;
 }
 
@@ -405,8 +292,6 @@ ScheduleFile &ScheduleFile::operator=(ScheduleFile &&Other) noexcept {
   MapBytes = Other.MapBytes;
   Owned = std::move(Other.Owned);
   EventBase = Other.EventBase;
-  ChunkIndex = Other.ChunkIndex;
-  LiveInBase = Other.LiveInBase;
   Events = Other.Events;
   Allocs = Other.Allocs;
   Slots = Other.Slots;
@@ -415,7 +300,6 @@ ScheduleFile &ScheduleFile::operator=(ScheduleFile &&Other) noexcept {
   MaxLive = Other.MaxLive;
   PerChunk = Other.PerChunk;
   ChunkTotal = Other.ChunkTotal;
-  LiveInTotal = Other.LiveInTotal;
   Other.Map = nullptr;
   Other.MapBytes = 0;
   return *this;
@@ -439,11 +323,9 @@ void ScheduleFile::dropChunk(uint64_t Index) const {
 #if LIFEPRED_HAVE_MMAP
   if (!Map || !Owned.empty())
     return;
-  const ScheduleChunkInfo &Info = ChunkIndex[Index];
   uint64_t PageMask = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)) - 1;
-  uint64_t Begin = HeaderBytes + Info.FirstEvent * sizeof(ScheduleEvent);
-  uint64_t End =
-      Begin + Info.EventCount * sizeof(ScheduleEvent);
+  uint64_t Begin = HeaderBytes + Index * PerChunk * sizeof(ScheduleEvent);
+  uint64_t End = Begin + chunkEventCount(Index) * sizeof(ScheduleEvent);
   // Page-align outward; a boundary page shared with a neighbouring chunk
   // just refaults from page cache if it is touched again.
   Begin &= ~PageMask;

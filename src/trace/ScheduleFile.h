@@ -22,29 +22,32 @@
 ///    independent of how many events the file holds.  Free events carry
 ///    the object's size, so replay needs no side lookup into the trace.
 ///
-///  * **Chunk live-in tables.**  The event stream is cut into fixed-size
-///    chunks (the streaming/madvise granularity).  Each chunk's index
-///    entry records the (slot, size) set live at its entry.  No replay
-///    reads the tables: the sharded Kingsley scan needs only each chunk's
-///    events (see sim/StreamReplay.h).  The chunk partition is a property
-///    of the *file*, never of the worker count, which is what keeps that
-///    scan's output identical at any --jobs.
+///  * **Fixed-size chunks.**  The event stream is cut into chunks of
+///    EventsPerChunk events (the last one may be short), the streaming and
+///    madvise granularity.  Chunk i starts at event i * EventsPerChunk, so
+///    the header alone locates every chunk and the file stores no chunk
+///    index.  A chunk is replayed from its events alone: the sharded
+///    Kingsley scan needs nothing else (see sim/StreamReplay.h).  The
+///    chunk partition is a property of the *file*, never of the worker
+///    count, which is what keeps that scan's output identical at any
+///    --jobs.
 ///
 /// The writer is incremental: append() accepts one trace segment at a
 /// time, offsetting byte clocks so segments concatenate into one monotonic
 /// stream.  A billion-event schedule is therefore built from bounded-size
-/// segments without ever materializing the whole trace (each segment's
-/// objects die within the segment, so no live state crosses an append).
+/// segments without ever materializing the whole trace: all the writer
+/// carries across an append is the sizes of the slots still live.
 ///
-/// File layout (all fields little-endian host integers, 64-bit offsets):
+/// File layout, version 2 (all fields little-endian host integers):
 ///
-///   [header 112 B] [events 16 B each] [chunk index 56 B each] [live-in 8 B]
+///   [header 80 B] [events 16 B each]
 ///
 /// The reader validates the header the same way TraceBinaryIO guards
-/// corrupt traces: magic, version, and every section offset/count checked
-/// against the actual file size (overflow-safely) before anything is
-/// dereferenced; a truncated or bit-flipped header is rejected with a
-/// diagnostic, never crashed on.
+/// corrupt traces: magic, version, counts, and a file size of exactly
+/// HeaderBytes + 16 * EventCount, checked before anything is dereferenced;
+/// a truncated, padded or bit-flipped header is rejected with a
+/// diagnostic, never crashed on, and so is a file of any other version
+/// (version 1 also held a chunk index and live-in tables).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +57,7 @@
 #include "trace/AllocationTrace.h"
 #include "trace/CompiledTrace.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
@@ -72,26 +76,6 @@ struct ScheduleEvent {
   uint64_t Clock = 0;
 };
 static_assert(sizeof(ScheduleEvent) == 16, "on-disk event must be 16 bytes");
-
-/// One object live at a chunk boundary: enough to re-allocate it when a
-/// shard warms up a fresh allocator at that boundary.
-struct ScheduleLiveIn {
-  uint32_t Slot = 0;
-  uint32_t Size = 0;
-};
-static_assert(sizeof(ScheduleLiveIn) == 8, "live-in entry must be 8 bytes");
-
-/// Index entry for one chunk of the event stream.
-struct ScheduleChunkInfo {
-  uint64_t FirstEvent = 0;   ///< Index of the chunk's first event.
-  uint64_t EventCount = 0;   ///< Events in this chunk.
-  uint64_t StartClock = 0;   ///< Byte clock when the chunk begins.
-  uint64_t MaxLiveBytes = 0; ///< Peak live payload within the chunk.
-  uint64_t LiveInBytes = 0;  ///< Payload bytes live at chunk entry.
-  uint64_t LiveInFirst = 0;  ///< First entry in the live-in table.
-  uint64_t LiveInCount = 0;  ///< Live objects at chunk entry.
-};
-static_assert(sizeof(ScheduleChunkInfo) == 56, "chunk index must be 56 bytes");
 
 /// Streams compiled schedules to disk, one trace segment at a time.
 /// Usage: construct, append() each segment, finish().  The header is
@@ -130,18 +114,19 @@ public:
   /// Convenience: compiles \p Trace's schedule, then appends it.
   void append(const AllocationTrace &Trace);
 
-  /// Writes the chunk index, live-in table, and final header.  Returns
+  /// Flushes the buffered events and writes the final header.  Returns
   /// false (with error() set) if any write failed.  No further appends.
   bool finish();
 
   uint64_t eventCount() const { return Events; }
   uint64_t allocCount() const { return Allocs; }
   uint64_t slotCount() const { return NextSlot; }
-  uint64_t chunkCount() const { return Chunks.size(); }
+  uint64_t chunkCount() const {
+    return (Events + Cfg.EventsPerChunk - 1) / Cfg.EventsPerChunk;
+  }
   uint64_t maxLiveBytes() const { return GlobalPeakLive; }
 
 private:
-  void beginChunk();
   void writeEvent(uint32_t TaggedSlot, uint32_t Size, uint64_t Clock);
   void flushEvents();
 
@@ -150,21 +135,16 @@ private:
   Config Cfg;
 
   std::vector<ScheduleEvent> Buffer;
-  std::vector<ScheduleChunkInfo> Chunks;
-  std::vector<ScheduleLiveIn> LiveIns;
 
-  /// Slot allocator: sizes of live slots (sentinel = dead) plus the LIFO
-  /// recycling stack.  NextSlot is the high-water mark.
-  static constexpr uint64_t DeadSlot = ~uint64_t(0);
-  std::vector<uint64_t> SlotSizes;
+  /// Slot allocator: the size of each slot's current object plus the LIFO
+  /// recycling stack of dead slots.  NextSlot is the high-water mark.
+  std::vector<uint32_t> SlotSizes;
   std::vector<uint32_t> FreeSlots;
   uint32_t NextSlot = 0;
 
   uint64_t Events = 0;
   uint64_t Allocs = 0;
-  uint64_t EventsInChunk = 0;
   uint64_t LiveBytesNow = 0;
-  uint64_t ChunkPeakLive = 0;
   uint64_t GlobalPeakLive = 0;
   uint64_t TotalAllocBytes = 0;
   uint64_t ClockOffset = 0; ///< Base clock of the current segment.
@@ -179,12 +159,12 @@ private:
 class ScheduleFile {
 public:
   static constexpr char Magic[8] = {'L', 'P', 'S', 'C', 'H', 'E', 'D', '1'};
-  static constexpr uint32_t Version = 1;
-  static constexpr uint64_t HeaderBytes = 112;
+  static constexpr uint32_t Version = 2;
+  static constexpr uint64_t HeaderBytes = 80;
 
   /// Maps and validates \p Path.  Returns std::nullopt with \p Error set
-  /// on any structural problem (missing file, short file, bad magic or
-  /// version, section out of bounds, inconsistent chunk index).
+  /// on any structural problem (missing file, bad magic or version,
+  /// implausible counts, a size other than HeaderBytes + 16 * events).
   static std::optional<ScheduleFile> open(const std::string &Path,
                                           std::string &Error);
 
@@ -202,17 +182,15 @@ public:
   uint64_t maxLiveBytes() const { return MaxLive; }
   uint64_t eventsPerChunk() const { return PerChunk; }
   uint64_t chunkCount() const { return ChunkTotal; }
-  uint64_t liveInCount() const { return LiveInTotal; }
   uint64_t fileBytes() const { return MapBytes; }
 
-  const ScheduleChunkInfo &chunk(uint64_t Index) const {
-    return ChunkIndex[Index];
-  }
+  /// Chunk \p Index's events: EventsPerChunk of them from event
+  /// Index * EventsPerChunk, fewer in the last chunk.
   const ScheduleEvent *chunkEvents(uint64_t Index) const {
-    return EventBase + ChunkIndex[Index].FirstEvent;
+    return EventBase + Index * PerChunk;
   }
-  const ScheduleLiveIn *chunkLiveIn(uint64_t Index) const {
-    return LiveInBase + ChunkIndex[Index].LiveInFirst;
+  uint64_t chunkEventCount(uint64_t Index) const {
+    return std::min(PerChunk, Events - Index * PerChunk);
   }
 
   /// Advises the kernel the event region will be read front to back.
@@ -238,8 +216,6 @@ private:
   std::vector<unsigned char> Owned;
 
   const ScheduleEvent *EventBase = nullptr;
-  const ScheduleChunkInfo *ChunkIndex = nullptr;
-  const ScheduleLiveIn *LiveInBase = nullptr;
 
   uint64_t Events = 0;
   uint64_t Allocs = 0;
@@ -249,7 +225,6 @@ private:
   uint64_t MaxLive = 0;
   uint64_t PerChunk = 0;
   uint64_t ChunkTotal = 0;
-  uint64_t LiveInTotal = 0;
 };
 
 /// Replays \p File into \p Consumer chunk by chunk, with the event protocol
@@ -263,7 +238,7 @@ inline void forEachEvent(const ScheduleFile &File, ConsumerT &&Consumer) {
   File.adviseSequential();
   for (uint64_t Chunk = 0; Chunk < File.chunkCount(); ++Chunk) {
     const ScheduleEvent *Events = File.chunkEvents(Chunk);
-    const uint64_t Count = File.chunk(Chunk).EventCount;
+    const uint64_t Count = File.chunkEventCount(Chunk);
     for (uint64_t I = 0; I < Count; ++I) {
       const ScheduleEvent &Event = Events[I];
       const uint32_t Slot = Event.TaggedSlot & ~EventSchedule::FreeBit;

@@ -219,10 +219,10 @@ void genBurst(AllocationTrace &Trace, Rng &Rand, size_t Objects) {
 void genGrandChallenge(AllocationTrace &Trace, Rng &Rand, size_t Objects) {
   // The billion-event bench's workload, kept deliberately self-contained:
   // every lifetime is bounded, so the live set (and hence the schedule
-  // writer's slot space) stays O(1) in the object count and consecutive
-  // segments concatenate with empty live-in seams.  Sizes sweep the whole
-  // Kingsley bucket spectrum — mostly sub-128 B churn, a mid band, and
-  // rare page-scale spikes — so a replay touches many classes.
+  // writer's slot space) stays O(1) in the object count and no object is
+  // live across the seam between consecutive segments.  Sizes sweep the
+  // whole Kingsley bucket spectrum — mostly sub-128 B churn, a mid band,
+  // and rare page-scale spikes — so a replay touches many classes.
   std::vector<uint32_t> Pool = makeChainPool(Trace, Rand, 64, 6);
   uint64_t Clock = 0;
   for (size_t I = 0; I < Objects; ++I) {

@@ -49,8 +49,8 @@ enum class FuzzProfile {
   GrandChallenge, ///< The billion-event bench's synthetic workload: steady
                   ///< small-object churn over the full bucket spectrum with
                   ///< rare size spikes, bounded lifetimes, no immortals —
-                  ///< every segment is self-contained, so schedule segments
-                  ///< concatenate with empty live-in seams.  Shared by
+                  ///< every segment is self-contained, so no object is
+                  ///< live across a schedule segment seam.  Shared by
                   ///< bench_sim_throughput's grand-challenge mode and the
                   ///< fuzzer so there is exactly one trace synthesizer.
 };

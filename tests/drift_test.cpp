@@ -298,6 +298,17 @@ TEST(DriftObservatoryTest, TelemetryExportKeys) {
   EXPECT_EQ(Registry.gauge("drift.accuracy_mean_ppm"), 666666u);
 }
 
+TEST(DriftObservatoryTest, SparklineScalesToOwnRange) {
+  // Eight glyph levels: the minimum maps to the lowest bar, the maximum
+  // to the highest, and a constant series renders mid-level, not empty.
+  std::string Line = sparkline({0.0, 7.0});
+  EXPECT_EQ(Line.size(), 2 * 3u); // Two UTF-8 block glyphs, 3 bytes each.
+  EXPECT_EQ(Line.substr(0, 3), "▁");
+  EXPECT_EQ(Line.substr(3, 3), "█");
+  EXPECT_FALSE(sparkline({5.0, 5.0, 5.0}).empty());
+  EXPECT_TRUE(sparkline({}).empty());
+}
+
 //===----------------------------------------------------------------------===//
 // The ESPRESSO acceptance run
 //===----------------------------------------------------------------------===//

@@ -8,9 +8,8 @@
 // expectations, jobs-invariance of every non-timing observatory key
 // (thread pools of 1, 2, and 8 produce byte-identical filtered registry
 // output), streamed-vs-in-memory probe equality, the LatencyRecorder
-// sampling schedule and its timing-key classification, the
-// perf-trajectory ledger round trip, and a sanity check of every allocator
-// family's live-span walk.
+// sampling schedule and its timing-key classification, and a sanity check
+// of every allocator family's live-span walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #include "telemetry/FragmentationProbe.h"
 #include "telemetry/HeapHeatmap.h"
 #include "telemetry/LatencyRecorder.h"
-#include "telemetry/PerfLedger.h"
 #include "telemetry/ReportDiff.h"
 #include "telemetry/StatsRegistry.h"
 #include "trace/ScheduleFile.h"
@@ -36,7 +34,6 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -588,161 +585,6 @@ TEST(ObservatoryJobsTest, ValueKeysIdenticalAtAnyJobCount) {
   EXPECT_TRUE(AtOne.find("bsd.frag.samples") != std::string::npos);
   EXPECT_EQ(AtOne, AtTwo);
   EXPECT_EQ(AtOne, AtEight);
-}
-
-//===----------------------------------------------------------------------===//
-// Perf-trajectory ledger
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Writes a minimal schema-v2 report carrying one value metric.
-std::string writeReport(const std::string &Name, double HeapK,
-                        double EventsPerSec) {
-  std::string Path = tempPath(Name);
-  std::ofstream Out(Path);
-  Out << "{\n  \"schema_version\": 2,\n  \"bench\": \"ledger_unit\",\n"
-      << "  \"manifest\": {\"git_sha\": \"abc123\", \"jobs\": 2},\n"
-      << "  \"events\": 1000,\n  \"wall_seconds\": 0.5,\n"
-      << "  \"events_per_sec\": " << EventsPerSec << ",\n"
-      << "  \"values\": {\"prog.heap_k\": " << HeapK << "}\n}\n";
-  return Path;
-}
-
-} // namespace
-
-TEST(PerfLedgerTest, AppendReadRenderRoundTrip) {
-  const std::string HistoryDir = tempPath("ledger_history");
-  std::remove((HistoryDir + "/ledger_unit.jsonl").c_str());
-
-  // Two steady runs, then a run whose heap metric doubles: an upward
-  // regression for a non-timing key, beyond any reasonable tolerance.
-  std::string Error;
-  for (double HeapK : {100.0, 100.0, 200.0}) {
-    std::string Report = writeReport("ledger_report.json", HeapK, 2e6);
-    ASSERT_TRUE(appendRunRecord(Report, HistoryDir, Error)) << Error;
-    std::remove(Report.c_str());
-  }
-
-  std::vector<LedgerRecord> Records;
-  ASSERT_TRUE(readLedger(HistoryDir + "/ledger_unit.jsonl", Records, Error))
-      << Error;
-  ASSERT_EQ(Records.size(), 3u);
-  EXPECT_EQ(Records[0].Bench, "ledger_unit");
-  EXPECT_EQ(Records[0].GitSha, "abc123");
-  EXPECT_EQ(Records[0].Events, 1000u);
-  ASSERT_EQ(Records[2].Values.size(), 1u);
-  EXPECT_EQ(Records[2].Values[0].first, "prog.heap_k");
-  EXPECT_DOUBLE_EQ(Records[2].Values[0].second, 200.0);
-
-  // Render to a file; the doubled heap metric must be flagged.
-  HistoryOptions Options;
-  Options.Tolerance = 0.10;
-  std::string RenderPath = tempPath("ledger_render.txt");
-  std::FILE *Out = std::fopen(RenderPath.c_str(), "w");
-  ASSERT_NE(Out, nullptr);
-  int Flagged = renderHistory(HistoryDir, Options, Out);
-  std::fclose(Out);
-  EXPECT_EQ(Flagged, 1);
-  std::ifstream In(RenderPath);
-  std::string Rendered((std::istreambuf_iterator<char>(In)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_TRUE(Rendered.find("prog.heap_k") != std::string::npos) << Rendered;
-  EXPECT_TRUE(Rendered.find("ledger_unit") != std::string::npos) << Rendered;
-
-  // A metric glob that matches nothing flags nothing.
-  Options.MetricGlob = "no.such.metric";
-  Out = std::fopen(RenderPath.c_str(), "w");
-  ASSERT_NE(Out, nullptr);
-  EXPECT_EQ(renderHistory(HistoryDir, Options, Out), 0);
-  std::fclose(Out);
-  std::remove(RenderPath.c_str());
-  std::remove((HistoryDir + "/ledger_unit.jsonl").c_str());
-}
-
-TEST(PerfLedgerTest, AppendCreatesNestedHistoryDirectories) {
-  // --append-history must work into a ledger directory that does not
-  // exist yet, parents included (a fresh checkout or clean CI workspace).
-  const std::string HistoryDir =
-      tempPath("ledger_nested") + "/deeper/history";
-  std::filesystem::remove_all(tempPath("ledger_nested"));
-  ASSERT_FALSE(std::filesystem::exists(HistoryDir));
-
-  std::string Error;
-  std::string Report = writeReport("ledger_nested_report.json", 100.0, 2e6);
-  ASSERT_TRUE(appendRunRecord(Report, HistoryDir, Error)) << Error;
-  std::remove(Report.c_str());
-
-  std::vector<LedgerRecord> Records;
-  ASSERT_TRUE(readLedger(HistoryDir + "/ledger_unit.jsonl", Records, Error))
-      << Error;
-  ASSERT_EQ(Records.size(), 1u);
-  EXPECT_EQ(Records[0].Bench, "ledger_unit");
-  std::filesystem::remove_all(tempPath("ledger_nested"));
-}
-
-TEST(PerfLedgerTest, HistoryLimitCapsTrailingWindowAndNamesLedger) {
-  const std::string HistoryDir = tempPath("ledger_limit_history");
-  std::filesystem::remove_all(HistoryDir);
-
-  // Five runs ending in a doubled heap metric.
-  std::string Error;
-  for (double HeapK : {100.0, 100.0, 100.0, 100.0, 200.0}) {
-    std::string Report = writeReport("ledger_limit_report.json", HeapK, 2e6);
-    ASSERT_TRUE(appendRunRecord(Report, HistoryDir, Error)) << Error;
-    std::remove(Report.c_str());
-  }
-
-  auto render = [&](const HistoryOptions &Options, int &Flagged) {
-    std::string RenderPath = tempPath("ledger_limit_render.txt");
-    std::FILE *Out = std::fopen(RenderPath.c_str(), "w");
-    EXPECT_NE(Out, nullptr);
-    Flagged = renderHistory(HistoryDir, Options, Out);
-    std::fclose(Out);
-    std::ifstream In(RenderPath);
-    std::string Rendered((std::istreambuf_iterator<char>(In)),
-                         std::istreambuf_iterator<char>());
-    std::remove(RenderPath.c_str());
-    return Rendered;
-  };
-
-  // Unlimited: all five runs considered, the jump is flagged, and the
-  // rendering names the ledger file it read.
-  HistoryOptions Options;
-  Options.Tolerance = 0.10;
-  int Flagged = 0;
-  std::string Rendered = render(Options, Flagged);
-  EXPECT_EQ(Flagged, 1);
-  EXPECT_TRUE(Rendered.find("(5 runs") != std::string::npos) << Rendered;
-  EXPECT_TRUE(Rendered.find("ledger: ") != std::string::npos) << Rendered;
-  EXPECT_TRUE(Rendered.find("ledger_unit.jsonl") != std::string::npos)
-      << Rendered;
-
-  // --limit=3 reads only the trailing window and says so.
-  Options.Limit = 3;
-  Rendered = render(Options, Flagged);
-  EXPECT_EQ(Flagged, 1);
-  EXPECT_TRUE(Rendered.find("(last 3 of 5 runs") != std::string::npos)
-      << Rendered;
-
-  // --limit=2 leaves too few records for the deviation check to run.
-  Options.Limit = 2;
-  Rendered = render(Options, Flagged);
-  EXPECT_EQ(Flagged, 0);
-  EXPECT_TRUE(Rendered.find("(last 2 of 5 runs") != std::string::npos)
-      << Rendered;
-  std::filesystem::remove_all(HistoryDir);
-}
-
-TEST(PerfLedgerTest, SparklineScalesToOwnRange) {
-  // Eight glyph levels: the minimum maps to the lowest bar, the maximum
-  // to the highest, and a constant series renders mid-level, not empty.
-  std::string Line = sparkline({0.0, 7.0});
-  EXPECT_EQ(Line.size(), 2 * 3u); // Two UTF-8 block glyphs, 3 bytes each.
-  EXPECT_EQ(Line.substr(0, 3), "▁");
-  EXPECT_EQ(Line.substr(3, 3), "█");
-  EXPECT_FALSE(sparkline({5.0, 5.0, 5.0}).empty());
-  EXPECT_TRUE(sparkline({}).empty());
 }
 
 //===----------------------------------------------------------------------===//

@@ -773,6 +773,16 @@ TEST(ReportDiffTest, RunBenchCompareExitSemantics) {
   EXPECT_EQ(runBenchCompare({OldPath, tempPath("does_not_exist.json"),
                              "--quiet"}),
             2);
+  // A tolerance must be a whole, finite, non-negative number: "abc" must
+  // not become a silent 0 (an exact timing gate), nor "1e-9x" 1e-9.
+  for (const char *Bad :
+       {"--tol=abc", "--tol=1e-9x", "--tol=", "--tol=-1", "--tol=nan",
+        "--time-tol=abc", "--time-tol=20x", "--time-tol=-0.5",
+        "--time-tol=inf"})
+    EXPECT_EQ(runBenchCompare({OldPath, SamePath, Bad, "--quiet"}), 2) << Bad;
+  EXPECT_EQ(runBenchCompare({OldPath, SamePath, "--tol=1e-9",
+                             "--time-tol=20.0", "--quiet"}),
+            0);
 }
 
 //===----------------------------------------------------------------------===//
