@@ -10,6 +10,12 @@
 // built), probe SiteDatabase's flat linear-probed key table, bump the
 // arena pointer and count.  No step allocates (runtime_noalloc_test).
 //
+// The per-step rows time each piece of that key path on its own: the
+// thread-local stack lookup, the in-place last-4 chain hash at several
+// depths, the one-multiply size mix, and the database probe on a hit and
+// on a miss.  They loop over independent calls, so they report throughput;
+// on the heap path the steps are dependent and add up as latency.
+//
 //===----------------------------------------------------------------------===//
 
 #include "callchain/ShadowStack.h"
@@ -58,6 +64,57 @@ void BM_PredictingHeap_GeneralPath(benchmark::State &State) {
   predictingHeapChurn(State, /*PredictShort=*/false);
 }
 
+void BM_ShadowStackCurrent(benchmark::State &State) {
+  for (auto _ : State)
+    benchmark::DoNotOptimize(&ShadowStack::current());
+}
+
+void BM_ChainKeyPart_LastN4(benchmark::State &State) {
+  ShadowStack &Stack = ShadowStack::current();
+  Stack.clear();
+  for (int64_t I = 0; I < State.range(0); ++I)
+    Stack.push(BenchFunction + static_cast<FunctionId>(I));
+  const SiteKeyPolicy Policy = SiteKeyPolicy::lastN(4);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Stack.chainKeyPart(Policy));
+  Stack.clear();
+}
+
+void BM_SiteKeySizeMix(benchmark::State &State) {
+  const SiteKeyPolicy Policy = SiteKeyPolicy::lastN(4);
+  uint64_t ChainPart = CallChain{BenchFunction}.hash();
+  uint32_t Size = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(ChainPart);
+    benchmark::DoNotOptimize(siteKeyFromChainPart(Policy, ChainPart, Size));
+    Size = (Size + 4) & 255;
+  }
+}
+
+/// Probes makeDatabase(true)'s 63 keys in turn (\p Hit) or 63 keys of
+/// another function that the database does not hold.
+void siteDatabaseProbe(benchmark::State &State, bool Hit) {
+  SiteDatabase DB = makeDatabase(/*PredictShort=*/true);
+  std::vector<SiteKey> Keys;
+  for (uint32_t Size = 8; Size <= 256; Size += 4)
+    Keys.push_back(siteKey(DB.policy(),
+                           CallChain{Hit ? BenchFunction : BenchFunction + 1},
+                           Size));
+  size_t I = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(DB.contains(Keys[I]));
+    I = I + 1 == Keys.size() ? 0 : I + 1;
+  }
+}
+
+void BM_SiteDatabaseContains_Hit(benchmark::State &State) {
+  siteDatabaseProbe(State, /*Hit=*/true);
+}
+
+void BM_SiteDatabaseContains_Miss(benchmark::State &State) {
+  siteDatabaseProbe(State, /*Hit=*/false);
+}
+
 void BM_OperatorNew(benchmark::State &State) {
   size_t Size = static_cast<size_t>(State.range(0));
   std::vector<void *> Batch(64);
@@ -76,5 +133,10 @@ void BM_OperatorNew(benchmark::State &State) {
 BENCHMARK(BM_PredictingHeap_ArenaPath)->Arg(16)->Arg(48)->Arg(128);
 BENCHMARK(BM_PredictingHeap_GeneralPath)->Arg(16)->Arg(48)->Arg(128);
 BENCHMARK(BM_OperatorNew)->Arg(16)->Arg(48)->Arg(128);
+BENCHMARK(BM_ShadowStackCurrent);
+BENCHMARK(BM_ChainKeyPart_LastN4)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_SiteKeySizeMix);
+BENCHMARK(BM_SiteDatabaseContains_Hit);
+BENCHMARK(BM_SiteDatabaseContains_Miss);
 
 BENCHMARK_MAIN();

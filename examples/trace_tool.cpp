@@ -887,10 +887,10 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot open %s\n", Args[2].c_str());
       return 1;
     }
-    auto DB = SiteDatabase::load(In);
+    std::string Error;
+    auto DB = SiteDatabase::load(In, &Error);
     if (!DB) {
-      std::fprintf(stderr, "error: %s is not a valid site database\n",
-                   Args[2].c_str());
+      std::fprintf(stderr, "error: %s: %s\n", Args[2].c_str(), Error.c_str());
       return 1;
     }
     PredictionReport Report = evaluatePrediction(*Trace, *DB);
@@ -912,10 +912,10 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot open %s\n", Args[1].c_str());
       return 1;
     }
-    auto DB = SiteDatabase::load(In);
+    std::string Error;
+    auto DB = SiteDatabase::load(In, &Error);
     if (!DB) {
-      std::fprintf(stderr, "error: %s is not a valid site database\n",
-                   Args[1].c_str());
+      std::fprintf(stderr, "error: %s: %s\n", Args[1].c_str(), Error.c_str());
       return 1;
     }
     std::ofstream Out(Args[2]);

@@ -30,14 +30,35 @@ namespace lifepred {
 /// Identifies one function in the traced program.
 using FunctionId = uint32_t;
 
+/// hashFrames' constants: the per-frame mix's c and K, and the fold's P.
+inline constexpr uint64_t FrameMixOffset = 0x9e3779b97f4a7c15ULL;
+inline constexpr uint64_t FrameMixMultiplier = 0xbf58476d1ce4e5b9ULL;
+inline constexpr uint64_t FrameFoldMultiplier = 0xff51afd7ed558ccdULL;
+
 /// Order-sensitive 64-bit hash of the \p Count functions at \p Frames,
-/// outermost first: the one chain hash (CallChain::hash() and hashLastN()).
+/// outermost first: the one chain hash (CallChain::hash(), hashLastN() and
+/// through it ShadowStack::chainKeyPart()).
+///
+/// Each frame is mixed on its own, v = (id + c) * K; v ^= v >> 31.  The mix
+/// reads nothing but the id, so the frame multiplies of a lastN(4) window
+/// issue in parallel; only one multiply-add per frame (H = H * P + v) sits
+/// on the serial path, then one splitmix finalizer.  H starts from the
+/// depth, so a chain never hashes like a prefix of itself.
+///
+/// The xorshift in the per-frame mix is what matters for collisions.
+/// Without it H is a linear polynomial in the ids modulo 2^64, and four
+/// 32-bit ids against a 2^64 modulus form a lattice of determinant 2^64:
+/// it holds distinct windows that collide while their ids differ by at
+/// most 2^16 at each position, exactly the shape of nearby return-address
+/// ids.  The shift feeds high product bits back into low ones, so a frame's
+/// contribution is no longer an affine function of its id.
 inline uint64_t hashFrames(const FunctionId *Frames, size_t Count) {
-  uint64_t Hash = FnvOffsetBasis;
-  for (size_t I = 0; I < Count; ++I)
-    Hash = hashCombine(Hash, Frames[I]);
-  // Mix in the depth so a chain is never confused with a prefix of itself.
-  return hashCombine(Hash, Count);
+  uint64_t Hash = FnvOffsetBasis + Count;
+  for (size_t I = 0; I < Count; ++I) {
+    uint64_t V = (Frames[I] + FrameMixOffset) * FrameMixMultiplier;
+    Hash = Hash * FrameFoldMultiplier + (V ^ (V >> 31));
+  }
+  return mixFinalize(Hash);
 }
 
 /// Hash of the innermost min(\p N, size) of the outermost-first \p Frames:

@@ -86,11 +86,6 @@ struct SiteKeyPolicy {
     return {SiteKeyMode::TypeAndSize, 0, Rounding, nullptr};
   }
 
-  /// True if the policy keys on the object's type rather than its chain.
-  bool usesType() const {
-    return Mode == SiteKeyMode::TypeOnly || Mode == SiteKeyMode::TypeAndSize;
-  }
-
   /// Two policies are equal when they produce the same key for every
   /// allocation (encryption compares by table identity).  Lets precomputed
   /// per-record key tables assert they match a database's policy.
@@ -108,9 +103,22 @@ inline uint32_t roundSize(const SiteKeyPolicy &Policy, uint32_t Size) {
   return static_cast<uint32_t>(alignTo(Size, Policy.SizeRounding));
 }
 
+/// The odd multiplier of the size mix in siteKeyFromChainPart.
+inline constexpr uint64_t SizeMixMultiplier = 0xc2b2ae3d27d4eb4fULL;
+
 /// Full site key from a precomputed chain part (chainKeyPart) and the
 /// allocation's \p Size; type-based policies use \p TypeId instead of the
 /// chain.  Every site-key entry point below funnels through this one.
+///
+/// Chain policies mix the size in with one multiply: ChainPart ^
+/// (rounded size * SizeMixMultiplier).  The product does not depend on the
+/// chain, so on the allocation path it runs beside the chain hash instead
+/// of after it.  The multiplier is odd, so distinct sizes give distinct
+/// products.  The chain part is already finalized (hashFrames), a fixed
+/// basis (size-only) or a 16-bit encryption key; no two 32-bit sizes have
+/// products that differ only in those low 16 bits (callchain_test checks
+/// every difference), so an encrypted key stays injective in (chain key,
+/// size).
 inline SiteKey siteKeyFromChainPart(const SiteKeyPolicy &Policy,
                                     uint64_t ChainPart, uint32_t Size,
                                     uint32_t TypeId = 0) {
@@ -121,7 +129,7 @@ inline SiteKey siteKeyFromChainPart(const SiteKeyPolicy &Policy,
     return hashCombine(hashCombine(FnvOffsetBasis, TypeId),
                        roundSize(Policy, Size));
   default:
-    return hashCombine(ChainPart, roundSize(Policy, Size));
+    return ChainPart ^ (uint64_t(roundSize(Policy, Size)) * SizeMixMultiplier);
   }
 }
 

@@ -85,7 +85,7 @@ void SiteDatabase::grow() {
 }
 
 void SiteDatabase::save(std::ostream &OS) const {
-  OS << "sitedb v1\n";
+  OS << "sitedb v" << FormatVersion << '\n';
   OS << "policy " << modeName(Policy.Mode) << ' ' << Policy.Length << ' '
      << Policy.SizeRounding << '\n';
   OS << "threshold " << Threshold << '\n';
@@ -101,10 +101,22 @@ void SiteDatabase::save(std::ostream &OS) const {
     OS << "site " << Key << '\n';
 }
 
-std::optional<SiteDatabase> SiteDatabase::load(std::istream &IS) {
-  std::string Line;
-  if (!std::getline(IS, Line) || Line != "sitedb v1")
+std::optional<SiteDatabase> SiteDatabase::load(std::istream &IS,
+                                               std::string *Error) {
+  auto Reject = [&](std::string Why) -> std::optional<SiteDatabase> {
+    if (Error)
+      *Error = std::move(Why);
     return std::nullopt;
+  };
+  const std::string Magic = "sitedb v";
+  std::string Line;
+  if (!std::getline(IS, Line) || Line.rfind(Magic, 0) != 0)
+    return Reject("not a site database (no \"sitedb\" header)");
+  if (Line != Magic + std::to_string(FormatVersion))
+    return Reject("unsupported site database version " +
+                  Line.substr(Magic.size()) + " (expected " +
+                  std::to_string(FormatVersion) +
+                  "; site keys changed, retrain the database)");
 
   SiteDatabase DB;
   while (std::getline(IS, Line)) {
@@ -116,21 +128,21 @@ std::optional<SiteDatabase> SiteDatabase::load(std::istream &IS) {
     if (Keyword == "policy") {
       std::string ModeText;
       if (!(LS >> ModeText >> DB.Policy.Length >> DB.Policy.SizeRounding))
-        return std::nullopt;
+        return Reject("malformed line: " + Line);
       auto Mode = parseMode(ModeText);
       if (!Mode)
-        return std::nullopt;
+        return Reject("unknown policy: " + ModeText);
       DB.Policy.Mode = *Mode;
     } else if (Keyword == "threshold") {
       if (!(LS >> DB.Threshold))
-        return std::nullopt;
+        return Reject("malformed line: " + Line);
     } else if (Keyword == "site") {
       SiteKey Key = 0;
       if (!(LS >> Key))
-        return std::nullopt;
+        return Reject("malformed line: " + Line);
       DB.insert(Key);
     } else {
-      return std::nullopt;
+      return Reject("malformed line: " + Line);
     }
   }
   return DB;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace lifepred {
@@ -68,13 +69,20 @@ public:
   /// The short-lived threshold (bytes) used in training.
   uint64_t threshold() const { return Threshold; }
 
-  /// Writes the database as text ("sitedb v1" header, one key per line in
+  /// The text format's version: the "sitedb v2" header.
+  static constexpr unsigned FormatVersion = 2;
+
+  /// Writes the database as text ("sitedb v2" header, one key per line in
   /// ascending order, so equal sets save byte-identically).  The
-  /// encryption pointer of the policy is not serialized.
+  /// encryption pointer of the policy is not serialized.  The version
+  /// names the key hash: v1 files hold keys of the serial hashCombine chain
+  /// hash, which no current key can match.
   void save(std::ostream &OS) const;
 
-  /// Parses a database written by save(); std::nullopt on malformed input.
-  static std::optional<SiteDatabase> load(std::istream &IS);
+  /// Parses a database written by save(); std::nullopt on malformed input
+  /// or any other version, with the reason in \p Error when given.
+  static std::optional<SiteDatabase> load(std::istream &IS,
+                                          std::string *Error = nullptr);
 
 private:
   /// Home slot of \p Key: the top bits of a Fibonacci multiply, so keys

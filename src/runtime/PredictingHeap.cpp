@@ -16,6 +16,7 @@
 #include <bit>
 #include <cassert>
 #include <new>
+#include <stdexcept>
 
 using namespace lifepred;
 
@@ -24,11 +25,19 @@ PredictingHeap::PredictingHeap(SiteDatabase Database)
 
 PredictingHeap::PredictingHeap(SiteDatabase Database, Config Config)
     : Database(std::move(Database)), Cfg(Config) {
-  assert(Cfg.ArenaCount > 0 && Cfg.AreaBytes % Cfg.ArenaCount == 0 &&
-         "arena area must divide evenly");
-  assert(isPowerOf2(Cfg.Alignment) && "alignment must be a power of two");
-  assert(isPowerOf2(Cfg.AreaBytes / Cfg.ArenaCount) &&
-         "arena size must be a power of two");
+  // Checked in every build: a zero ArenaCount would divide by zero below,
+  // and a non-power-of-two arena size would make ArenaShift misplace frees.
+  if (Cfg.ArenaCount == 0 || Cfg.AreaBytes % Cfg.ArenaCount != 0)
+    throw std::invalid_argument(
+        "PredictingHeap::Config: ArenaCount must be non-zero and divide "
+        "AreaBytes evenly");
+  if (!isPowerOf2(Cfg.Alignment))
+    throw std::invalid_argument(
+        "PredictingHeap::Config: Alignment must be a power of two");
+  if (!isPowerOf2(Cfg.AreaBytes / Cfg.ArenaCount))
+    throw std::invalid_argument(
+        "PredictingHeap::Config: arena size (AreaBytes / ArenaCount) must be "
+        "a power of two");
   ArenaShift = std::countr_zero(Cfg.AreaBytes / Cfg.ArenaCount);
   Area = std::make_unique<unsigned char[]>(Cfg.AreaBytes);
   Arenas.resize(Cfg.ArenaCount);

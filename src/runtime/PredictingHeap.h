@@ -61,6 +61,9 @@ public:
 
   /// Builds a heap using the trained \p Database (copied).
   explicit PredictingHeap(SiteDatabase Database);
+  /// As above with geometry \p C; throws std::invalid_argument naming the
+  /// field if ArenaCount is zero or does not divide AreaBytes, or if the
+  /// alignment or the arena size is not a power of two.
   PredictingHeap(SiteDatabase Database, Config C);
   ~PredictingHeap();
 

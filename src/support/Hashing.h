@@ -7,6 +7,15 @@
 /// \file
 /// 64-bit hashing helpers used to encode allocation sites and call-chains.
 ///
+/// Call-chain site keys are built for latency, since the real heap computes
+/// one per allocation.  hashFrames (callchain/CallChain.h) mixes each frame
+/// on its own, v = (id + c) * K; v ^= v >> 31, folds the results with one
+/// multiply-add per frame and ends with mixFinalize; siteKeyFromChainPart
+/// (callchain/SiteKey.h) then XORs in rounded size * K.  The xorshift makes
+/// the per-frame mix nonlinear: a hash that is linear in the ids modulo
+/// 2^64 has collisions among windows of nearby ids.  hashCombine, one full
+/// round per value, remains for seeds and the type-based keys.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIFEPRED_SUPPORT_HASHING_H
@@ -33,13 +42,19 @@ inline uint64_t hashBytes(const void *Data, size_t Size,
   return Hash;
 }
 
-/// Mixes a 64-bit value into an accumulated hash (splitmix64 finalizer).
-inline uint64_t hashCombine(uint64_t Hash, uint64_t Value) {
-  uint64_t Z = Hash ^ (Value + 0x9e3779b97f4a7c15ULL + (Hash << 6) +
-                       (Hash >> 2));
+/// The splitmix64 finalizer: a bijection on 64-bit values whose every
+/// output bit depends on every input bit.  Two multiplies, serial.
+inline uint64_t mixFinalize(uint64_t Z) {
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
   return Z ^ (Z >> 31);
+}
+
+/// Mixes a 64-bit value into an accumulated hash: one full finalizer round
+/// per value, so a chain of combines is a chain of dependent rounds.
+inline uint64_t hashCombine(uint64_t Hash, uint64_t Value) {
+  return mixFinalize(Hash ^ (Value + 0x9e3779b97f4a7c15ULL + (Hash << 6) +
+                             (Hash >> 2)));
 }
 
 } // namespace lifepred

@@ -66,39 +66,18 @@ EventSchedule::EventSchedule(const AllocationTrace &Trace) {
 
 namespace {
 
-/// Per-record site keys, chain hashing hoisted per distinct chain and the
-/// finished key memoized per (chain, rounded size) in a sorted small-vector.
+/// Per-record site keys, chain hashing hoisted per distinct chain; what is
+/// left per record is the size mix, one multiply.
 std::vector<SiteKey> buildRecordKeys(const AllocationTrace &Trace,
                                      const SiteKeyPolicy &Policy) {
-  std::vector<SiteKey> Keys;
-  Keys.reserve(Trace.size());
-  if (Policy.usesType()) {
-    // Type-based keys ignore the chain; derive directly (cheap).
-    for (const AllocRecord &Record : Trace.records())
-      Keys.push_back(siteKeyForRecord(Policy, 0, Record));
-    return Keys;
-  }
   std::vector<uint64_t> ChainParts(Trace.chainCount());
   for (uint32_t I = 0; I < Trace.chainCount(); ++I)
     ChainParts[I] = chainKeyPart(Policy, Trace.chain(I));
-  // A chain allocates few distinct sizes, so each memo stays tiny; keeping
-  // it sorted turns the per-record probe into a binary search instead of
-  // SiteKeyCache's old linear scan.
-  std::vector<std::vector<std::pair<uint32_t, SiteKey>>> PerChain(
-      Trace.chainCount());
-  for (const AllocRecord &Record : Trace.records()) {
-    uint32_t Rounded = roundSize(Policy, Record.Size);
-    auto &Memo = PerChain[Record.ChainIndex];
-    auto It = std::lower_bound(
-        Memo.begin(), Memo.end(), Rounded,
-        [](const std::pair<uint32_t, SiteKey> &Entry, uint32_t Size) {
-          return Entry.first < Size;
-        });
-    if (It == Memo.end() || It->first != Rounded)
-      It = Memo.insert(
-          It, {Rounded, hashCombine(ChainParts[Record.ChainIndex], Rounded)});
-    Keys.push_back(It->second);
-  }
+  std::vector<SiteKey> Keys;
+  Keys.reserve(Trace.size());
+  for (const AllocRecord &Record : Trace.records())
+    Keys.push_back(
+        siteKeyForRecord(Policy, ChainParts[Record.ChainIndex], Record));
   return Keys;
 }
 

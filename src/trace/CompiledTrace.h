@@ -113,9 +113,9 @@ public:
   explicit CompiledTrace(const AllocationTrace &Trace)
       : Source(&Trace), Schedule(Trace) {}
 
-  /// Compiles the schedule plus per-record site keys under \p Policy.
-  /// The key memo is a per-chain *sorted* small-vector probed by binary
-  /// search, replacing SiteKeyCache's linear scan per record.
+  /// Compiles the schedule plus per-record site keys under \p Policy:
+  /// one chainKeyPart per distinct chain, then siteKeyForRecord per record,
+  /// so every key equals siteKey(Policy, chain, Size, TypeId).
   CompiledTrace(const AllocationTrace &Trace, const SiteKeyPolicy &Policy);
 
   /// False for a default-constructed placeholder slot.

@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace lifepred;
@@ -247,11 +248,28 @@ TEST(SiteDatabaseTest, SaveLoadRoundTrip) {
 
 TEST(SiteDatabaseTest, LoadRejectsGarbage) {
   std::stringstream A("bogus\n");
-  EXPECT_FALSE(SiteDatabase::load(A).has_value());
-  std::stringstream B("sitedb v1\nsite notanumber\n");
+  std::string Error;
+  EXPECT_FALSE(SiteDatabase::load(A, &Error).has_value());
+  EXPECT_NE(Error.find("not a site database"), std::string::npos) << Error;
+  std::stringstream B("sitedb v2\nsite notanumber\n");
   EXPECT_FALSE(SiteDatabase::load(B).has_value());
-  std::stringstream C("sitedb v1\npolicy martian 0 4\n");
+  std::stringstream C("sitedb v2\npolicy martian 0 4\n");
   EXPECT_FALSE(SiteDatabase::load(C).has_value());
+}
+
+TEST(SiteDatabaseTest, LoadRejectsOtherVersionsByName) {
+  // v1 keys came from the serial chain hash; loading them would silently
+  // predict nothing, so the version is refused and named.
+  std::stringstream V1("sitedb v1\npolicy lastn 4 4\nthreshold 4096\n"
+                       "site 42\n");
+  std::string Error;
+  EXPECT_FALSE(SiteDatabase::load(V1, &Error).has_value());
+  EXPECT_NE(Error.find("unsupported site database version 1"),
+            std::string::npos)
+      << Error;
+  std::stringstream V3("sitedb v3\n");
+  EXPECT_FALSE(SiteDatabase::load(V3, &Error).has_value());
+  EXPECT_NE(Error.find("version 3"), std::string::npos) << Error;
 }
 
 TEST(SiteDatabaseTest, PredictShortLivedHelper) {
@@ -350,7 +368,7 @@ TEST(SiteDatabaseTest, SaveIsIndependentOfInsertionOrder) {
   Forward.save(A);
   Backward.save(B);
   EXPECT_EQ(A.str(), B.str());
-  EXPECT_EQ(A.str(), "sitedb v1\npolicy lastn 4 4\nthreshold 4096\n"
+  EXPECT_EQ(A.str(), "sitedb v2\npolicy lastn 4 4\nthreshold 4096\n"
                      "site 0\nsite 3\nsite 7\nsite 42\nsite 99\n"
                      "site 1099511627776\nsite 18446744073709551615\n");
 

@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -227,6 +229,47 @@ TEST(PredictingHeapTest, NullAndZeroSizeAreSafe) {
   void *P = Heap.allocate(0);
   EXPECT_NE(P, nullptr);
   Heap.deallocate(P);
+}
+
+TEST(PredictingHeapTest, BadGeometryThrowsInEveryBuild) {
+  // Thrown, not asserted: a Release build must not divide by a zero
+  // ArenaCount or shift by the log of a non-power-of-two arena size.
+  SiteDatabase DB(SiteKeyPolicy::lastN(4), 32768);
+  auto Geometry = [](size_t AreaBytes, unsigned ArenaCount,
+                     size_t Alignment) {
+    PredictingHeap::Config Cfg;
+    Cfg.AreaBytes = AreaBytes;
+    Cfg.ArenaCount = ArenaCount;
+    Cfg.Alignment = Alignment;
+    return Cfg;
+  };
+  auto Complaint = [&](PredictingHeap::Config Cfg) -> std::string {
+    try {
+      PredictingHeap Heap(DB, Cfg);
+    } catch (const std::invalid_argument &E) {
+      return E.what();
+    }
+    return "";
+  };
+  EXPECT_THROW(PredictingHeap Heap(DB, Geometry(65536, 0, 16)),
+               std::invalid_argument);
+  EXPECT_THROW(PredictingHeap Heap(DB, Geometry(65536, 3, 16)),
+               std::invalid_argument);
+  EXPECT_THROW(PredictingHeap Heap(DB, Geometry(65536, 16, 24)),
+               std::invalid_argument);
+  EXPECT_THROW(PredictingHeap Heap(DB, Geometry(65536, 16, 0)),
+               std::invalid_argument);
+  // 12 KB over two arenas divides evenly, but 6 KB is not a power of two.
+  EXPECT_THROW(PredictingHeap Heap(DB, Geometry(12288, 2, 16)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(PredictingHeap Heap(DB, Geometry(8192, 4, 8)));
+
+  EXPECT_NE(Complaint(Geometry(65536, 0, 16)).find("ArenaCount"),
+            std::string::npos);
+  EXPECT_NE(Complaint(Geometry(65536, 16, 24)).find("Alignment"),
+            std::string::npos);
+  EXPECT_NE(Complaint(Geometry(12288, 2, 16)).find("arena size"),
+            std::string::npos);
 }
 
 TEST(InstrumentTest, RuntimeFunctionIdsStable) {

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "callchain/ChainEncryption.h"
 #include "trace/AllocationTrace.h"
+#include "trace/CompiledTrace.h"
 #include "support/Random.h"
 #include "trace/TraceBinaryIO.h"
 #include "trace/TraceIO.h"
@@ -151,6 +153,48 @@ TEST(TraceReplayerTest, FreeNeverPrecedesItsAlloc) {
       Born[E.Id] = true;
     if (E.Kind == 'F') {
       EXPECT_TRUE(Born[E.Id]);
+    }
+  }
+}
+
+TEST(CompiledTraceTest, RecordKeysEqualSiteKeyUnderEveryPolicy) {
+  // A typed trace whose chains repeat functions (so pruning matters) and
+  // include the empty chain: every compiled key must equal the reference
+  // siteKey() of its record under all six policies.
+  Rng R(19);
+  AllocationTrace T;
+  std::vector<uint32_t> Chains;
+  for (int I = 0; I < 16; ++I) {
+    CallChain Chain;
+    unsigned Depth = static_cast<unsigned>(R.nextBelow(9));
+    for (unsigned D = 0; D < Depth; ++D)
+      Chain.push(static_cast<FunctionId>(R.nextBelow(6)));
+    Chains.push_back(T.internChain(Chain));
+  }
+  for (int I = 0; I < 4000; ++I) {
+    AllocRecord Record;
+    Record.Lifetime = R.nextBelow(8000);
+    Record.Size = static_cast<uint32_t>(R.nextBelow(300));
+    Record.ChainIndex = Chains[R.nextBelow(Chains.size())];
+    Record.TypeId = static_cast<uint32_t>(R.nextBelow(5));
+    T.append(Record);
+  }
+  ChainEncryption Encryption;
+  for (FunctionId F = 0; F < 6; ++F)
+    Encryption.setId(F, static_cast<ChainKey>(0x0101 * (F + 3)));
+  for (const SiteKeyPolicy &Policy :
+       {SiteKeyPolicy::completeChain(), SiteKeyPolicy::lastN(4),
+        SiteKeyPolicy::sizeOnly(8), SiteKeyPolicy::encrypted(Encryption),
+        SiteKeyPolicy::typeOnly(), SiteKeyPolicy::typeAndSize()}) {
+    CompiledTrace Compiled(T, Policy);
+    ASSERT_TRUE(Compiled.hasKeys());
+    ASSERT_EQ(Compiled.recordKeys().size(), T.size());
+    for (uint32_t Id = 0; Id < T.size(); ++Id) {
+      const AllocRecord &Record = T.records()[Id];
+      ASSERT_EQ(Compiled.keyFor(Id),
+                siteKey(Policy, T.chain(Record.ChainIndex), Record.Size,
+                        Record.TypeId))
+          << "mode " << static_cast<int>(Policy.Mode) << " record " << Id;
     }
   }
 }
