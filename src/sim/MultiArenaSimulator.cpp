@@ -88,7 +88,6 @@ private:
                              Record.Lifetime > Thresholds.back();
     bool ActuallyShort = PredictedBanded ? Correct : !Correct;
     Telemetry->Outcomes.add(PredictedBanded, ActuallyShort);
-    Telemetry->PerSite[Record.ChainIndex].add(PredictedBanded, ActuallyShort);
     if (Telemetry->Drift)
       Telemetry->Drift->recordAlloc(Clock, Record.ChainIndex, Record.Size,
                                     PredictedBanded, Record.Lifetime,
@@ -164,7 +163,7 @@ lifepred::simulateMultiArena(const CompiledTrace &Compiled,
     Telemetry->Outcomes.exportTelemetry(*Telemetry->Registry,
                                         "multiarena.pred.");
     raisePeak(Telemetry->Registry->gauge("multiarena.pred.sites"),
-              Telemetry->PerSite.size());
+              distinctSiteCount(Trace));
     exportObservatory(Telemetry, "multiarena.");
   }
 

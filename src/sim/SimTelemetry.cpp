@@ -10,6 +10,9 @@
 #include "telemetry/FragmentationProbe.h"
 #include "telemetry/HeapHeatmap.h"
 #include "telemetry/LatencyRecorder.h"
+#include "trace/AllocationTrace.h"
+
+#include <vector>
 
 using namespace lifepred;
 
@@ -75,4 +78,15 @@ void lifepred::exportObservatory(SimTelemetry *Telemetry,
     Telemetry->Latency->exportTelemetry(*Telemetry->Registry, Prefix);
   if (Telemetry->Heatmap)
     Telemetry->Heatmap->exportTelemetry(*Telemetry->Registry, Prefix);
+}
+
+uint64_t lifepred::distinctSiteCount(const AllocationTrace &Trace) {
+  std::vector<bool> Seen(Trace.chainCount());
+  uint64_t Count = 0;
+  for (const AllocRecord &Record : Trace.records())
+    if (!Seen[Record.ChainIndex]) {
+      Seen[Record.ChainIndex] = true;
+      ++Count;
+    }
+  return Count;
 }

@@ -10,7 +10,7 @@
 /// simulateMultiArena turns on metric collection for that run: allocator
 /// counters and per-allocation histograms land in the StatsRegistry,
 /// byte-clock heap samples in the HeapTimeline, and (for the predicting
-/// allocators) prediction outcomes are classified per event and per site.
+/// allocators) prediction outcomes are classified per event.
 /// Passing nullptr — the default everywhere — leaves the simulation
 /// untouched.
 ///
@@ -24,10 +24,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 namespace lifepred {
 
+class AllocationTrace;
 class AllocatorSim;
 class DriftObservatory;
 class FlightRecorder;
@@ -85,9 +85,6 @@ struct SimTelemetry {
   HeapTimeline *Timeline = nullptr;
   /// Aggregate prediction outcomes (predicting simulators only).
   PredictionCounts Outcomes;
-  /// Prediction outcomes keyed by allocation site (the trace's chain-table
-  /// index), for hit/miss/false-short rates per site.
-  std::unordered_map<uint32_t, PredictionCounts> PerSite;
   /// Per-object audit trail (predicting simulators only).  When set, the
   /// simulator feeds every birth/death into the recorder, attaches it to
   /// the allocator's arena lifecycle hooks, and calls finish() at the end
@@ -128,6 +125,11 @@ void probeHeapSpans(const AllocatorSim &Allocator, uint64_t Clock,
 /// are attached.
 void observeSample(SimTelemetry *Telemetry, uint64_t Clock,
                    const AllocatorSim &Allocator, uint64_t ArenaBytes);
+
+/// The number of distinct allocation sites (chain-table indices) among
+/// \p Trace's records: the predicting simulators' `<prefix>pred.sites`
+/// gauge.
+uint64_t distinctSiteCount(const AllocationTrace &Trace);
 
 /// Exports the observatory sinks (probe state, latency distributions) into
 /// Telemetry->Registry under \p Prefix.  Called by each simulator after

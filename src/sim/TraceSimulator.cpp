@@ -192,7 +192,6 @@ private:
     // classify as actually long-lived.
     bool ActuallyShort = Record.Lifetime <= DB.threshold();
     Telemetry->Outcomes.add(PredictedShort, ActuallyShort);
-    Telemetry->PerSite[Record.ChainIndex].add(PredictedShort, ActuallyShort);
     if (Telemetry->Drift)
       Telemetry->Drift->recordAlloc(Clock, Record.ChainIndex, Record.Size,
                                     PredictedShort, Record.Lifetime,
@@ -256,7 +255,7 @@ ArenaSimResult simulateArenaWith(const CompiledTrace &Compiled,
     Allocator.exportTelemetry(*Telemetry->Registry, "arena.");
     Telemetry->Outcomes.exportTelemetry(*Telemetry->Registry, "arena.pred.");
     raisePeak(Telemetry->Registry->gauge("arena.pred.sites"),
-              Telemetry->PerSite.size());
+              distinctSiteCount(Trace));
     exportObservatory(Telemetry, "arena.");
   }
 

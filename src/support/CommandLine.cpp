@@ -6,6 +6,8 @@
 
 #include "support/CommandLine.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 using namespace lifepred;
@@ -36,20 +38,41 @@ std::string CommandLine::getString(const std::string &Name,
   return It == Flags.end() ? Default : It->second;
 }
 
+namespace {
+
+/// Ends the program for a present numeric flag whose value is empty, out
+/// of range or followed by junk.
+[[noreturn]] void rejectNumber(const std::string &Name,
+                               const std::string &Value) {
+  std::fprintf(stderr, "error: --%s=%s: want a number\n", Name.c_str(),
+               Value.c_str());
+  std::exit(2);
+}
+
+} // namespace
+
 int64_t CommandLine::getInt(const std::string &Name, int64_t Default) const {
   auto It = Flags.find(Name);
   if (It == Flags.end())
     return Default;
+  const char *Begin = It->second.c_str();
   char *End = nullptr;
-  int64_t Value = std::strtoll(It->second.c_str(), &End, 10);
-  return End && *End == '\0' ? Value : Default;
+  errno = 0;
+  int64_t Value = std::strtoll(Begin, &End, 10);
+  if (End == Begin || *End != '\0' || errno == ERANGE)
+    rejectNumber(Name, It->second);
+  return Value;
 }
 
 double CommandLine::getDouble(const std::string &Name, double Default) const {
   auto It = Flags.find(Name);
   if (It == Flags.end())
     return Default;
+  const char *Begin = It->second.c_str();
   char *End = nullptr;
-  double Value = std::strtod(It->second.c_str(), &End);
-  return End && *End == '\0' ? Value : Default;
+  errno = 0;
+  double Value = std::strtod(Begin, &End);
+  if (End == Begin || *End != '\0' || errno == ERANGE)
+    rejectNumber(Name, It->second);
+  return Value;
 }

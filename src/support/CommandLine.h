@@ -33,12 +33,13 @@ public:
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
 
-  /// Returns the integer value of \p Name, or \p Default if absent or
-  /// unparsable.
+  /// Returns the integer value of \p Name, or \p Default if absent.  A
+  /// present value that is not a whole base-10 integer prints
+  /// "error: --<name>=<value>: want a number" and exits with code 2.
   int64_t getInt(const std::string &Name, int64_t Default) const;
 
-  /// Returns the double value of \p Name, or \p Default if absent or
-  /// unparsable.
+  /// Returns the double value of \p Name, or \p Default if absent; exits
+  /// like getInt on a value that is not a whole number.
   double getDouble(const std::string &Name, double Default) const;
 
   /// Returns positional (non-flag) arguments in order.

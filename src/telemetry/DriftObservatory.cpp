@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdarg>
+#include <stdexcept>
 
 using namespace lifepred;
 
@@ -21,27 +22,15 @@ uint64_t DriftObservatory::autoWindowBytes(uint64_t EndClock) {
   return std::bit_ceil(EndClock / 64 + 1);
 }
 
-TimeSeries::Config DriftObservatory::seriesConfig() const {
-  TimeSeries::Config C;
-  C.WindowBytes = Width;
-  C.CounterLanes = LaneCount;
-  C.HistogramLanes = 1;
-  C.RingWindows = 0;
-  return C;
-}
-
 DriftObservatory::DriftObservatory(const DriftConfig &C) : Cfg(C) {
   Width = Cfg.WindowBytes != 0 ? Cfg.WindowBytes
                                : autoWindowBytes(Cfg.EndClock);
-  Global = TimeSeries(seriesConfig());
-  Global.extendToClock(Cfg.EndClock);
-}
-
-TimeSeries &DriftObservatory::siteSeries(uint32_t Site) {
-  auto It = Sites.find(Site);
-  if (It == Sites.end())
-    It = Sites.emplace(Site, TimeSeries(seriesConfig())).first;
-  return It->second;
+  if (Cfg.EndClock / Width >= MaxWindows)
+    throw std::invalid_argument(
+        "drift observatory: WindowBytes " + std::to_string(Width) +
+        " needs more than 2^25 windows to reach end clock " +
+        std::to_string(Cfg.EndClock));
+  Counters.assign((Cfg.EndClock / Width + 1) * LaneCount, 0);
 }
 
 void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
@@ -56,18 +45,15 @@ void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
   if (Observed == 0)
     Observed = 1;
 
-  unsigned Lane = PredictedShort
-                      ? (ActuallyShort ? LaneTrueShort : LaneFalseShort)
-                      : (ActuallyShort ? LaneMissedShort : LaneTrueLong);
-  TimeSeries &SiteTs = siteSeries(Site);
-  Global.add(Birth, Lane, 1);
-  SiteTs.add(Birth, Lane, 1);
-  Global.observe(Birth, HistLifetime, Observed);
-  SiteTs.observe(Birth, HistLifetime, Observed);
+  uint64_t Window = Birth / Width;
+  uint64_t *Row = &Counters[Window * LaneCount];
+  ++Row[PredictedShort ? (ActuallyShort ? LaneTrueShort : LaneFalseShort)
+                       : (ActuallyShort ? LaneMissedShort : LaneTrueLong)];
+  Log.push_back(uint64_t(Site) << SiteShift | Window << WindowShift |
+                Log2Histogram::bucketIndex(Observed));
 
   if (PredictedShort && !ActuallyShort) {
-    Global.add(Birth, LaneFalseShortBytes, Size);
-    SiteTs.add(Birth, LaneFalseShortBytes, Size);
+    Row[LaneFalseShortBytes] += Size;
     // The object pins its arena from the moment it outstays the
     // threshold until its (exit-clamped) death.
     uint64_t PinStart = Birth + std::min(Cfg.Threshold, AtExit);
@@ -75,22 +61,12 @@ void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
     if (PinEnd > PinStart) {
       uint64_t First = PinStart / Width;
       uint64_t Last = (PinEnd - 1) / Width;
-      for (uint64_t W = First; W <= Last; ++W) {
-        Global.addWindow(W, LanePinnedBytes, Size);
-        SiteTs.addWindow(W, LanePinnedBytes, Size);
-      }
+      for (uint64_t W = First; W <= Last; ++W)
+        Counters[W * LaneCount + LanePinnedBytes] += Size;
     }
   } else if (!PredictedShort && ActuallyShort) {
-    Global.add(Birth, LaneMissedShortBytes, Size);
-    SiteTs.add(Birth, LaneMissedShortBytes, Size);
+    Row[LaneMissedShortBytes] += Size;
   }
-  ++Objects;
-}
-
-bool DriftObservatory::operator==(const DriftObservatory &Other) const {
-  return Cfg == Other.Cfg && Width == Other.Width &&
-         Objects == Other.Objects && Global == Other.Global &&
-         Sites == Other.Sites;
 }
 
 //===----------------------------------------------------------------------===//
@@ -157,24 +133,22 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
   R.EndClock = Obs.endClock();
   R.Threshold = Obs.threshold();
   R.TotalObjects = Obs.totalObjects();
-  R.SiteCount = Obs.sites().size();
 
-  const TimeSeries &G = Obs.global();
   uint64_t N = Obs.windowCount();
   R.Windows.resize(N);
   for (uint64_t W = 0; W < N; ++W) {
     DriftWindowRow &Row = R.Windows[W];
     Row.StartClock = W * R.WindowBytes;
     Row.EndClock = Row.StartClock + R.WindowBytes;
-    Row.TrueShort = G.counter(W, DriftObservatory::LaneTrueShort);
-    Row.FalseShort = G.counter(W, DriftObservatory::LaneFalseShort);
-    Row.MissedShort = G.counter(W, DriftObservatory::LaneMissedShort);
-    Row.TrueLong = G.counter(W, DriftObservatory::LaneTrueLong);
+    Row.TrueShort = Obs.counter(W, DriftObservatory::LaneTrueShort);
+    Row.FalseShort = Obs.counter(W, DriftObservatory::LaneFalseShort);
+    Row.MissedShort = Obs.counter(W, DriftObservatory::LaneMissedShort);
+    Row.TrueLong = Obs.counter(W, DriftObservatory::LaneTrueLong);
     Row.FalseShortBytes =
-        G.counter(W, DriftObservatory::LaneFalseShortBytes);
+        Obs.counter(W, DriftObservatory::LaneFalseShortBytes);
     Row.MissedShortBytes =
-        G.counter(W, DriftObservatory::LaneMissedShortBytes);
-    Row.PinnedBytes = G.counter(W, DriftObservatory::LanePinnedBytes);
+        Obs.counter(W, DriftObservatory::LaneMissedShortBytes);
+    Row.PinnedBytes = Obs.counter(W, DriftObservatory::LanePinnedBytes);
     uint64_t Total = Row.total();
     if (Total != 0)
       Row.AccuracyPpm = static_cast<int64_t>(
@@ -217,55 +191,54 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
     }
   }
 
-  if (Trained) {
-    std::vector<DriftSiteScore> Scored;
-    for (const auto &[Site, Ts] : Obs.sites()) {
-      auto It = Trained->find(Site);
-      if (It == Trained->end())
-        continue;
-      const TrainedSiteQuantiles &Q = It->second;
-      if (Q.Q25 < 0 && Q.Q50 < 0 && Q.Q75 < 0)
-        continue;
-      uint64_t FirstW = Ts.firstWindow();
-      for (uint64_t W = FirstW; W < FirstW + Ts.windowCount(); ++W) {
-        const Log2Histogram *Hist =
-            Ts.histogram(W, DriftObservatory::HistLifetime);
-        if (!Hist || Hist->count() < Options.MinSiteWindowObjects)
-          continue;
-        DriftSiteScore S;
-        S.Site = Site;
-        S.Window = W;
-        S.Objects = Hist->count();
-        S.ObsQ50 = Hist->quantileLowerBound(0.50);
-        S.TrainQ50 = Q.Q50;
-        double Score = 0.0;
-        auto Fold = [&Score](uint64_t ObsQ, double TrainQ) {
-          if (TrainQ < 0)
-            return;
-          Score = std::max(
-              Score, std::fabs(std::log2((1.0 + static_cast<double>(ObsQ)) /
-                                         (1.0 + TrainQ))));
-        };
-        Fold(Hist->quantileLowerBound(0.25), Q.Q25);
-        Fold(S.ObsQ50, Q.Q50);
-        Fold(Hist->quantileLowerBound(0.75), Q.Q75);
-        S.Score = Score;
-        Scored.push_back(S);
-        ++R.ScoredSiteWindows;
-      }
-    }
-    std::sort(Scored.begin(), Scored.end(),
-              [](const DriftSiteScore &A, const DriftSiteScore &B) {
-                if (A.Score != B.Score)
-                  return A.Score > B.Score;
-                if (A.Site != B.Site)
-                  return A.Site < B.Site;
-                return A.Window < B.Window;
-              });
-    if (Scored.size() > Options.TopSites)
-      Scored.resize(Options.TopSites);
-    R.TopSites = std::move(Scored);
+  // Sorted, the lifetime log is one run of entries per (site, window),
+  // site-major, each run ordered by lifetime bucket.
+  std::vector<uint64_t> Log = Obs.lifetimeLog();
+  std::sort(Log.begin(), Log.end());
+  constexpr unsigned SiteShift = DriftObservatory::SiteShift;
+  constexpr unsigned WindowShift = DriftObservatory::WindowShift;
+  std::vector<DriftSiteScore> Scored;
+  for (size_t Begin = 0, End = 0; Begin < Log.size(); Begin = End) {
+    uint64_t SiteWindow = Log[Begin] >> WindowShift;
+    while (End < Log.size() && Log[End] >> WindowShift == SiteWindow)
+      ++End;
+    uint32_t Site = static_cast<uint32_t>(Log[Begin] >> SiteShift);
+    if (Begin == 0 || Log[Begin - 1] >> SiteShift != Site)
+      ++R.SiteCount;
+    if (!Trained || End - Begin < Options.MinSiteWindowObjects)
+      continue;
+    auto It = Trained->find(Site);
+    if (It == Trained->end())
+      continue;
+    const TrainedSiteQuantiles &Q = It->second;
+    if (Q.Q25 < 0 && Q.Q50 < 0 && Q.Q75 < 0)
+      continue;
+    Log2Histogram Hist;
+    for (size_t I = Begin; I < End; ++I)
+      Hist.record(Log2Histogram::bucketLow(
+          static_cast<unsigned>(Log[I] & DriftObservatory::BucketMask)));
+    DriftSiteScore S;
+    S.Site = Site;
+    S.Window = SiteWindow & (DriftObservatory::MaxWindows - 1);
+    S.Objects = End - Begin;
+    S.ObsQ50 = Hist.quantileLowerBound(0.50);
+    S.TrainQ50 = Q.Q50;
+    S.Score = lifetimeDriftScore(Hist.quantileLowerBound(0.25), S.ObsQ50,
+                                 Hist.quantileLowerBound(0.75), Q);
+    Scored.push_back(S);
+    ++R.ScoredSiteWindows;
   }
+  std::sort(Scored.begin(), Scored.end(),
+            [](const DriftSiteScore &A, const DriftSiteScore &B) {
+              if (A.Score != B.Score)
+                return A.Score > B.Score;
+              if (A.Site != B.Site)
+                return A.Site < B.Site;
+              return A.Window < B.Window;
+            });
+  if (Scored.size() > Options.TopSites)
+    Scored.resize(Options.TopSites);
+  R.TopSites = std::move(Scored);
   return R;
 }
 

@@ -9,9 +9,10 @@
 /// PredictionCounts answer "how accurate was the database over the whole
 /// replay", the drift observatory answers *when* and *at which sites* it
 /// went stale.  Every allocation outcome lands in a byte-clock window
-/// (telemetry/TimeSeries.h) twice — once in a global series, once in a
-/// per-site series — carrying the short-lived confusion matrix
-/// (TP/FP/FN/TN), observed-lifetime histograms, and misprediction cost:
+/// twice — once as a row of global counters carrying the short-lived
+/// confusion matrix (TP/FP/FN/TN) and misprediction cost, once as a packed
+/// (site, window, lifetime bucket) entry of a lifetime log the report
+/// sorts into per-site, per-window histograms.  The cost lanes:
 ///
 ///   * false_short_bytes — bytes of predicted-short objects that outlived
 ///     the threshold, charged to their birth window (arena bytes a wrong
@@ -34,7 +35,6 @@
 #define LIFEPRED_TELEMETRY_DRIFTOBSERVATORY_H
 
 #include "telemetry/LifetimeAudit.h"
-#include "telemetry/TimeSeries.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -62,9 +62,14 @@ struct DriftConfig {
 };
 
 /// Windowed confusion-matrix and cost accounting for one replay.
+///
+/// Window W covers byte clocks [W * windowBytes(), (W + 1) * windowBytes());
+/// an event exactly on an edge opens the window it starts.  Every window
+/// through the one holding EndClock exists from construction, so quiet
+/// tails appear as explicit empty windows.
 class DriftObservatory {
 public:
-  /// Counter lanes of both the global and the per-site series.
+  /// Counter lanes of one window row.
   enum Lane : unsigned {
     LaneTrueShort = 0,
     LaneFalseShort,
@@ -75,24 +80,32 @@ public:
     LanePinnedBytes,
     LaneCount
   };
-  /// Histogram lane: observed (exit-clamped) lifetimes.
-  static constexpr unsigned HistLifetime = 0;
+
+  /// Lifetime log entry layout: Site << SiteShift | Window << WindowShift |
+  /// Log2Histogram::bucketIndex(observed lifetime).  Sorting the log groups
+  /// it by site, then window, then bucket.
+  static constexpr unsigned SiteShift = 32;
+  static constexpr unsigned WindowShift = 7;
+  static constexpr uint64_t BucketMask = (uint64_t(1) << WindowShift) - 1;
+  /// The window field's capacity: 25 bits between bucket and site.
+  static constexpr uint64_t MaxWindows = uint64_t(1)
+                                         << (SiteShift - WindowShift);
 
   /// The default window width: the smallest power of two giving at most
   /// 64 windows over \p EndClock — deterministic, and coarse enough that
-  /// per-site histograms stay cheap.
+  /// the per-site divergence scores have objects to work with.
   static uint64_t autoWindowBytes(uint64_t EndClock);
 
+  /// Throws std::invalid_argument when the geometry needs more than
+  /// MaxWindows windows, before allocating anything.
   explicit DriftObservatory(const DriftConfig &C);
 
   const DriftConfig &config() const { return Cfg; }
   uint64_t windowBytes() const { return Width; }
   uint64_t endClock() const { return Cfg.EndClock; }
   uint64_t threshold() const { return Cfg.Threshold; }
-  /// Fixed at construction: every window through the one holding EndClock
-  /// exists, so quiet tails appear as explicit empty windows.
-  uint64_t windowCount() const { return Global.windowCount(); }
-  uint64_t totalObjects() const { return Objects; }
+  uint64_t windowCount() const { return Counters.size() / LaneCount; }
+  uint64_t totalObjects() const { return Log.size(); }
 
   /// Records one allocation outcome.  \p BirthClock is the byte clock
   /// after the allocation (the schedule convention); \p Lifetime is the
@@ -105,21 +118,22 @@ public:
                    bool PredictedShort, uint64_t Lifetime,
                    bool ActuallyShort);
 
-  const TimeSeries &global() const { return Global; }
-  /// Per-site series, key-sorted for deterministic iteration.
-  const std::map<uint32_t, TimeSeries> &sites() const { return Sites; }
+  /// Counter \p L of window \p Window (< windowCount()).
+  uint64_t counter(uint64_t Window, Lane L) const {
+    return Counters[Window * LaneCount + L];
+  }
 
-  bool operator==(const DriftObservatory &Other) const;
+  /// One entry per recorded allocation, in recording order.
+  const std::vector<uint64_t> &lifetimeLog() const { return Log; }
+
+  bool operator==(const DriftObservatory &Other) const = default;
 
 private:
-  TimeSeries::Config seriesConfig() const;
-  TimeSeries &siteSeries(uint32_t Site);
-
   DriftConfig Cfg;
   uint64_t Width = 1;
-  uint64_t Objects = 0;
-  TimeSeries Global;
-  std::map<uint32_t, TimeSeries> Sites;
+  /// windowCount() * LaneCount, window-major.
+  std::vector<uint64_t> Counters;
+  std::vector<uint64_t> Log;
 };
 
 /// Replayable record of a live run's allocation outcomes, for hosts (the
@@ -183,7 +197,7 @@ struct DriftSiteScore {
   uint64_t Objects = 0;
   uint64_t ObsQ50 = 0;
   double TrainQ50 = -1.0;
-  /// max over {p25, p50, p75} of |log2((1 + observed) / (1 + trained))|.
+  /// lifetimeDriftScore of the window's observed p25/p50/p75.
   double Score = 0.0;
 };
 

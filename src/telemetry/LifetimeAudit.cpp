@@ -41,12 +41,24 @@ void appendField(std::string &Out, bool &First, const char *Name,
   appendU64(Out, Value);
 }
 
-/// |log2((1 + Observed) / (1 + Trained))|, the per-quantile drift measure.
-double quantileDrift(double Observed, double Trained) {
-  return std::fabs(std::log2((1.0 + Observed) / (1.0 + Trained)));
-}
-
 } // namespace
+
+double lifepred::lifetimeDriftScore(uint64_t ObsQ25, uint64_t ObsQ50,
+                                    uint64_t ObsQ75,
+                                    const TrainedSiteQuantiles &Trained) {
+  double Score = 0.0;
+  auto Fold = [&Score](uint64_t Observed, double TrainedQ) {
+    if (TrainedQ < 0)
+      return;
+    Score = std::max(Score,
+                     std::fabs(std::log2((1.0 + static_cast<double>(Observed)) /
+                                         (1.0 + TrainedQ))));
+  };
+  Fold(ObsQ25, Trained.Q25);
+  Fold(ObsQ50, Trained.Q50);
+  Fold(ObsQ75, Trained.Q75);
+  return Score;
+}
 
 AuditReport lifepred::buildAuditReport(const FlightRecorder &Recorder,
                                        const TrainedQuantileMap *Trained,
@@ -86,10 +98,8 @@ AuditReport lifepred::buildAuditReport(const FlightRecorder &Recorder,
         Row.TrainQ25 = It->second.Q25;
         Row.TrainQ50 = It->second.Q50;
         Row.TrainQ75 = It->second.Q75;
-        Row.DriftScore = std::max(
-            {quantileDrift(static_cast<double>(Row.ObsQ25), Row.TrainQ25),
-             quantileDrift(static_cast<double>(Row.ObsQ50), Row.TrainQ50),
-             quantileDrift(static_cast<double>(Row.ObsQ75), Row.TrainQ75)});
+        Row.DriftScore = lifetimeDriftScore(Row.ObsQ25, Row.ObsQ50,
+                                            Row.ObsQ75, It->second);
       }
     }
     Report.TrueShort += Row.TrueShort;

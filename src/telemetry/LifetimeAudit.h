@@ -48,6 +48,12 @@ struct TrainedSiteQuantiles {
 /// Keyed by the recorder's site id (trace chain index).
 using TrainedQuantileMap = std::unordered_map<uint32_t, TrainedSiteQuantiles>;
 
+/// The drift score shared by the audit and the drift observatory: the
+/// max over {p25, p50, p75} of |log2((1 + observed) / (1 + trained))|,
+/// skipping quantiles the site never trained (negative); 0 when none did.
+double lifetimeDriftScore(uint64_t ObsQ25, uint64_t ObsQ50, uint64_t ObsQ75,
+                          const TrainedSiteQuantiles &Trained);
+
 /// One row of the misprediction forensics table.
 struct SiteAuditRow {
   uint32_t Site = 0;

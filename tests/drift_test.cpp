@@ -2,10 +2,10 @@
 //
 // Part of the lifepred project (Barrett & Zorn, PLDI 1993 reproduction).
 //
-// Covers the windowed time-series substrate (window-edge placement, empty
-// trailing windows, ring mode) and the drift observatory built on it: a
-// hand-computed golden drift JSON over a small trace with an engineered
-// mid-trace lifetime shift, the CUSUM change-point localizer, per-site
+// Covers the drift observatory: a hand-computed golden drift JSON over a
+// small trace with an engineered mid-trace lifetime shift (window-edge
+// placement and empty trailing windows included), the geometry limit of
+// its packed lifetime log, the CUSUM change-point localizer, per-site
 // observed-vs-trained divergence scoring, the ESPRESSO acceptance run,
 // and the DriftSampleLog / PredictingHeap /
 // RuntimeProfiler::quantileProbes live-run path.
@@ -21,7 +21,6 @@
 #include "sim/TraceSimulator.h"
 #include "telemetry/DriftObservatory.h"
 #include "telemetry/StatsRegistry.h"
-#include "telemetry/TimeSeries.h"
 #include "trace/CompiledTrace.h"
 #include "workloads/Programs.h"
 #include "workloads/WorkloadRunner.h"
@@ -29,70 +28,12 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 using namespace lifepred;
-
-//===----------------------------------------------------------------------===//
-// TimeSeries: window geometry
-//===----------------------------------------------------------------------===//
-
-TEST(TimeSeriesTest, EventExactlyOnEdgeOpensItsWindow) {
-  // Clock W * Width belongs to window W, not W - 1: the window an edge
-  // clock *opens*.
-  EXPECT_EQ(TimeSeries::windowIndexFor(0, 100), 0u);
-  EXPECT_EQ(TimeSeries::windowIndexFor(99, 100), 0u);
-  EXPECT_EQ(TimeSeries::windowIndexFor(100, 100), 1u);
-  EXPECT_EQ(TimeSeries::windowIndexFor(200, 100), 2u);
-
-  TimeSeries::Config C;
-  C.WindowBytes = 100;
-  C.CounterLanes = 1;
-  TimeSeries Ts(C);
-  Ts.add(100, 0, 7);
-  EXPECT_EQ(Ts.counter(0, 0), 0u);
-  EXPECT_EQ(Ts.counter(1, 0), 7u);
-}
-
-TEST(TimeSeriesTest, EmptyTrailingWindowsAreMaterialized) {
-  TimeSeries::Config C;
-  C.WindowBytes = 100;
-  C.CounterLanes = 1;
-  TimeSeries Ts(C);
-  Ts.add(50, 0, 1);
-  EXPECT_EQ(Ts.windowCount(), 1u);
-  // A quiet tail still shows up as explicit zero windows through the end
-  // clock — including the edge clock 1000, which opens window 10.
-  Ts.extendToClock(1000);
-  EXPECT_EQ(Ts.windowCount(), 11u);
-  for (uint64_t W = 1; W <= 10; ++W)
-    EXPECT_EQ(Ts.counter(W, 0), 0u) << "window " << W;
-  // Out-of-range reads are 0, not UB.
-  EXPECT_EQ(Ts.counter(99, 0), 0u);
-  EXPECT_EQ(Ts.histogram(99, 0), nullptr);
-}
-
-TEST(TimeSeriesTest, RingModeKeepsTrailingWindowsOnly) {
-  TimeSeries::Config C;
-  C.WindowBytes = 10;
-  C.CounterLanes = 1;
-  C.RingWindows = 3;
-  TimeSeries Ts(C);
-  for (uint64_t W = 0; W < 8; ++W)
-    Ts.addWindow(W, 0, W + 1);
-  EXPECT_EQ(Ts.firstWindow(), 5u);
-  EXPECT_EQ(Ts.windowCount(), 3u);
-  EXPECT_EQ(Ts.droppedWindows(), 5u);
-  EXPECT_EQ(Ts.counter(5, 0), 6u);
-  EXPECT_EQ(Ts.counter(7, 0), 8u);
-  // Dropped windows read as zero; a late write below the base is counted
-  // and otherwise ignored.
-  EXPECT_EQ(Ts.counter(0, 0), 0u);
-  Ts.addWindow(1, 0, 99);
-  EXPECT_EQ(Ts.lateDrops(), 1u);
-  EXPECT_EQ(Ts.counter(1, 0), 0u);
-}
 
 //===----------------------------------------------------------------------===//
 // DriftObservatory: hand-computed golden
@@ -125,9 +66,9 @@ TEST(DriftObservatoryTest, HandComputedWindowRows) {
   DriftObservatory Obs = goldenObservatory();
   EXPECT_EQ(Obs.windowCount(), 11u); // Windows 0..10, trailing w10 empty.
   EXPECT_EQ(Obs.totalObjects(), 6u);
-  EXPECT_EQ(Obs.sites().size(), 3u);
 
   DriftReport R = buildDriftReport(Obs, nullptr, "golden");
+  EXPECT_EQ(R.SiteCount, 3u);
   ASSERT_EQ(R.Windows.size(), 11u);
   EXPECT_EQ(R.TrueShort, 3u);
   EXPECT_EQ(R.FalseShort, 1u);
@@ -285,6 +226,97 @@ TEST(DriftObservatoryTest, SiteDivergenceScoredAgainstTrainedQuantiles) {
   EXPECT_DOUBLE_EQ(R.worstSite().TrainQ50, 10.0);
   // Observed ~800 vs trained ~10: better than five doublings of drift.
   EXPECT_GT(R.worstSite().Score, 5.0);
+}
+
+TEST(DriftObservatoryTest, SiteWindowRunsScoredAtTheObjectFloor) {
+  DriftConfig C;
+  C.EndClock = 1000;
+  C.WindowBytes = 100;
+  C.Threshold = 50;
+  DriftObservatory Obs(C);
+  // Site 5 spans windows 0 (four objects) and 1 (three); site 6 shares
+  // window 0 with three objects; site 8 has no trained quantiles.
+  for (int I = 0; I < 4; ++I)
+    Obs.recordAlloc(10 + I, 5, 16, true, 800, false);
+  for (int I = 0; I < 3; ++I)
+    Obs.recordAlloc(110 + I, 5, 16, true, 20, true);
+  for (int I = 0; I < 3; ++I)
+    Obs.recordAlloc(20 + I, 6, 16, true, 800, false);
+  Obs.recordAlloc(30, 8, 16, false, 900, false);
+
+  TrainedQuantileMap Trained;
+  TrainedSiteQuantiles Q;
+  Q.Objects = 100;
+  Q.Q25 = 8;
+  Q.Q50 = 10;
+  Q.Q75 = 12;
+  Trained.emplace(5, Q);
+  Trained.emplace(6, Q);
+
+  DriftReport Untrained = buildDriftReport(Obs, nullptr, "sites");
+  EXPECT_EQ(Untrained.SiteCount, 3u);
+  EXPECT_EQ(Untrained.ScoredSiteWindows, 0u);
+
+  // At the default floor of four only (site 5, window 0) qualifies.
+  DriftReport AtFour = buildDriftReport(Obs, &Trained, "sites");
+  EXPECT_EQ(AtFour.SiteCount, 3u);
+  EXPECT_EQ(AtFour.ScoredSiteWindows, 1u);
+  ASSERT_EQ(AtFour.TopSites.size(), 1u);
+  EXPECT_EQ(AtFour.worstSite().Site, 5u);
+  EXPECT_EQ(AtFour.worstSite().Window, 0u);
+  EXPECT_EQ(AtFour.worstSite().Objects, 4u);
+
+  // At three, both window-0 runs and site 5's window-1 run qualify.  Every
+  // lifetime-800 object lands in bucket [512, 1023], so both window-0
+  // runs score log2(513 / 9) and tie, broken by site; site 5's window 1
+  // holds lifetime-20 objects, bucket [16, 31].
+  DriftReportOptions Options;
+  Options.MinSiteWindowObjects = 3;
+  DriftReport AtThree = buildDriftReport(Obs, &Trained, "sites", Options);
+  EXPECT_EQ(AtThree.SiteCount, 3u);
+  EXPECT_EQ(AtThree.ScoredSiteWindows, 3u);
+  ASSERT_EQ(AtThree.TopSites.size(), 3u);
+  const DriftSiteScore &First = AtThree.TopSites[0];
+  const DriftSiteScore &Second = AtThree.TopSites[1];
+  const DriftSiteScore &Third = AtThree.TopSites[2];
+  EXPECT_EQ(First.Site, 5u);
+  EXPECT_EQ(First.Window, 0u);
+  EXPECT_EQ(First.Objects, 4u);
+  EXPECT_EQ(First.ObsQ50, 512u);
+  EXPECT_DOUBLE_EQ(First.Score, std::log2(513.0 / 9.0));
+  EXPECT_EQ(Second.Site, 6u);
+  EXPECT_EQ(Second.Window, 0u);
+  EXPECT_EQ(Second.Objects, 3u);
+  EXPECT_DOUBLE_EQ(Second.Score, First.Score);
+  EXPECT_EQ(Third.Site, 5u);
+  EXPECT_EQ(Third.Window, 1u);
+  EXPECT_EQ(Third.Objects, 3u);
+  EXPECT_EQ(Third.ObsQ50, 16u);
+  EXPECT_DOUBLE_EQ(Third.Score, std::log2(17.0 / 9.0));
+
+  // The shared score skips quantiles a site never trained (negative).
+  TrainedSiteQuantiles MedianOnly;
+  MedianOnly.Q50 = 16;
+  EXPECT_DOUBLE_EQ(lifetimeDriftScore(0, 16, 1000, MedianOnly), 0.0);
+}
+
+TEST(DriftObservatoryTest, RejectsGeometryBeyondTheWindowField) {
+  // 2^26 + 1 one-byte windows exceed the packed log's 2^25 window field;
+  // the constructor refuses before allocating the counter rows.
+  DriftConfig C;
+  C.EndClock = uint64_t(1) << 26;
+  C.WindowBytes = 1;
+  try {
+    DriftObservatory Obs(C);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("WindowBytes"), std::string::npos)
+        << E.what();
+  }
+  // The automatic width always fits: bit_ceil(2^20 + 1) = 2^21 bytes,
+  // so windows 0..32.
+  C.WindowBytes = 0;
+  EXPECT_EQ(DriftObservatory(C).windowCount(), 33u);
 }
 
 TEST(DriftObservatoryTest, TelemetryExportKeys) {

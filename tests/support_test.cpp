@@ -221,11 +221,20 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
   EXPECT_EQ(Cl.positional()[0], "input.txt");
 }
 
-TEST(CommandLineTest, MalformedValuesFallBackToDefault) {
-  const char *Argv[] = {"prog", "--seed=abc"};
-  CommandLine Cl(2, Argv);
-  EXPECT_EQ(Cl.getInt("seed", 7), 7);
+TEST(CommandLineTest, MalformedNumbersExitWithUsageError) {
+  const char *Argv[] = {"prog", "--seed=abc", "--jobs=", "--scale=0.5x",
+                        "--window=1x"};
+  CommandLine Cl(5, Argv);
   EXPECT_EQ(Cl.getString("seed", ""), "abc");
+  EXPECT_EQ(Cl.getInt("absent", 7), 7);
+  EXPECT_EXIT(Cl.getInt("seed", 7), ::testing::ExitedWithCode(2),
+              "error: --seed=abc: want a number");
+  EXPECT_EXIT(Cl.getInt("jobs", 0), ::testing::ExitedWithCode(2),
+              "error: --jobs=: want a number");
+  EXPECT_EXIT(Cl.getInt("window", 0), ::testing::ExitedWithCode(2),
+              "error: --window=1x: want a number");
+  EXPECT_EXIT(Cl.getDouble("scale", 1.0), ::testing::ExitedWithCode(2),
+              "error: --scale=0.5x: want a number");
 }
 
 //===----------------------------------------------------------------------===//

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -852,6 +853,14 @@ TEST(HeapTimelineTest, ExportAndJson) {
 
 namespace {
 
+/// The distinct chain indices among \p T's records, counted by set.
+uint64_t distinctChains(const AllocationTrace &T) {
+  std::set<uint32_t> Chains;
+  for (const AllocRecord &Record : T.records())
+    Chains.insert(Record.ChainIndex);
+  return Chains.size();
+}
+
 /// A trace of mostly short-lived objects from one site plus rare
 /// long-lived ones from another (sim_test's shape).
 AllocationTrace churnTrace(uint64_t Seed, size_t Objects) {
@@ -956,19 +965,15 @@ TEST(SimTelemetryTest, ArenaOutcomesCoverEveryAllocation) {
 
   // Every allocation event is classified exactly once.
   EXPECT_EQ(Tel.Outcomes.total(), uint64_t(T.size()));
-  // The per-site breakdown partitions the aggregate.
-  uint64_t PerSiteTotal = 0;
-  for (const auto &[Site, Counts] : Tel.PerSite)
-    PerSiteTotal += Counts.total();
-  EXPECT_EQ(PerSiteTotal, Tel.Outcomes.total());
-  EXPECT_EQ(Tel.PerSite.size(), 2u); // churnTrace has two sites.
 
   // Exported counters mirror the in-memory confusion matrix and the
   // simulator's own counters.
   EXPECT_EQ(Reg.counters().at("arena.pred.true_short"), Tel.Outcomes.TrueShort);
   EXPECT_EQ(Reg.counters().at("arena.pred.false_short"),
             Tel.Outcomes.FalseShort);
-  EXPECT_EQ(Reg.gauges().at("arena.pred.sites"), Tel.PerSite.size());
+  // The sites gauge counts the trace's distinct chain indices.
+  EXPECT_EQ(Reg.gauges().at("arena.pred.sites"), distinctChains(T));
+  EXPECT_EQ(distinctChains(T), 2u); // churnTrace has two sites.
   EXPECT_EQ(Reg.counters().at("arena.arena_allocs"), R.Arena.ArenaAllocs);
   EXPECT_EQ(Reg.counters().at("arena.general_allocs"), R.Arena.GeneralAllocs);
   // The well-trained churn trace predicts nearly everything correctly.
@@ -995,7 +1000,7 @@ TEST(SimTelemetryTest, MultiArenaOutcomesCoverEveryAllocation) {
   EXPECT_EQ(Reg.counters().at("multiarena.pred.true_short"),
             Tel.Outcomes.TrueShort);
   EXPECT_EQ(Reg.counters().at("multiarena.general_allocs"), R.GeneralAllocs);
-  EXPECT_EQ(Reg.gauges().at("multiarena.pred.sites"), Tel.PerSite.size());
+  EXPECT_EQ(Reg.gauges().at("multiarena.pred.sites"), distinctChains(T));
 
   MultiArenaSimResult Plain = simulateMultiArena(Compiled, DB);
   EXPECT_EQ(Plain.MaxHeapBytes, R.MaxHeapBytes);
