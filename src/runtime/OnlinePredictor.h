@@ -17,9 +17,9 @@
 /// short-lived arena and the general heap mid-run.
 ///
 /// The routing table is epoch-versioned: every window that flips at least
-/// one site's route bumps the epoch, so consumers (PredictingHeap, the
-/// route compile pass in runtime/Retrainer.h) can cheaply detect "the
-/// table you cached is stale".
+/// one site's route bumps the epoch, so consumers (the route compile pass
+/// in runtime/Retrainer.h, the shadow oracle in verify/) can cheaply detect
+/// "the table you cached is stale".
 ///
 /// Determinism contract: the model is a pure function of the sequence of
 /// routeShort / observeDeath / advanceClock calls.  All state is integer
@@ -146,14 +146,13 @@ struct OnlineSiteSnapshot {
   bool operator==(const OnlineSiteSnapshot &Other) const = default;
 };
 
-/// The streaming per-site model.  Not thread-safe; hosts that share it
-/// (PredictingHeap in ThreadSafe mode) serialize calls under their own
-/// lock, and the replay drivers are single-threaded by construction (the
-/// sharded shapes consume the *precompiled* route plan instead).
+/// The streaming per-site model.  Not thread-safe; the replay drivers are
+/// single-threaded by construction (the sharded shapes consume the
+/// *precompiled* route plan instead).
 class OnlinePredictor {
 public:
   /// Window width used when the config leaves WindowBytes at 0 and no
-  /// end clock is known (the live-heap host): 256 KiB of allocation.
+  /// end clock is known: 256 KiB of allocation.
   static constexpr uint64_t DefaultWindowBytes = 256 * 1024;
 
   explicit OnlinePredictor(const OnlinePredictorConfig &Config = {});

@@ -25,14 +25,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lifepred {
 
-class DriftSampleLog;
-class FlightRecorder;
-class OnlinePredictor;
 class StatsRegistry;
 
 /// Profile-driven two-strategy heap.
@@ -73,7 +69,11 @@ public:
   /// Allocates \p Size bytes; consults the shadow stack and database.
   void *allocate(size_t Size);
 
-  /// Frees a pointer returned by allocate().
+  /// Frees a pointer returned by allocate().  An arena pointer only
+  /// decrements its arena's live count; freeing one more arena object than
+  /// the arena holds (a double free) aborts with a message in every build.
+  /// Any pointer outside the arena area goes straight to ::operator delete,
+  /// so a foreign pointer is not caught here.
   void deallocate(void *Ptr);
 
   const Stats &stats() const { return Counters; }
@@ -87,84 +87,30 @@ public:
   void exportTelemetry(StatsRegistry &Registry,
                        const std::string &Prefix) const;
 
-  /// Structural self-audit for the verify layer: per-arena bump-pointer
-  /// bounds and alignment, and (with a recorder attached) containment of
-  /// every recorded live arena pointer in an arena with a positive live
-  /// count.  Costs nothing unless called.  Returns false and fills
-  /// \p Error at the first broken invariant.
+  /// Structural self-audit for the verify layer: the current arena index
+  /// and every arena's bump pointer (in bounds, aligned).  Costs nothing
+  /// unless called.  Returns false and fills \p Error at the first broken
+  /// invariant.
   bool auditInvariants(std::string &Error) const;
-
-  /// Attaches a per-object flight recorder.  Attach before the first
-  /// allocate(); the heap then assigns object ids in allocation order and
-  /// drives a byte clock (bytes allocated so far), so the audit trail of a
-  /// single-threaded run is deterministic.  Detach by attaching nullptr.
-  /// Unattached heaps skip every audit branch on the allocation path.
-  void attachRecorder(FlightRecorder *Recorder);
-
-  /// Finishes the attached recorder and drift log at the current byte
-  /// clock (classifying still-live objects as long-lived) and drops the
-  /// pointer-id map.
-  void finishRecording();
-
-  /// Attaches a drift sample log (telemetry/DriftObservatory.h): every
-  /// allocation's site, size, prediction, and byte-clock birth/death feed
-  /// the log, so a live run's prediction quality can be compared against
-  /// its trained database after the fact.  Same discipline as
-  /// attachRecorder — attach before the first allocate(), detach with
-  /// nullptr; unattached heaps skip the branch.
-  void attachDriftLog(DriftSampleLog *Log);
-
-  /// Attaches an online predictor (runtime/OnlinePredictor.h): allocation
-  /// routing switches from the frozen database probe to the predictor's
-  /// epoch-versioned routing table, every deallocation feeds the observed
-  /// lifetime back, and the heap's byte clock drives the predictor's
-  /// retrain windows — so a drifting live workload re-routes its flagged
-  /// sites mid-run.  Attach before the first allocate(); detach with
-  /// nullptr.  The predictor is *not* internally locked; in ThreadSafe
-  /// mode the heap's own mutex serializes every model call.
-  void attachOnline(OnlinePredictor *Predictor);
-
-  /// The attached predictor's routing-table epoch (0 without one): bumps
-  /// exactly when a retrain window flipped at least one site's route, so
-  /// callers can cheaply detect mid-run re-routing.  In ThreadSafe mode it
-  /// takes the heap's lock, so any thread may poll it during a run.
-  uint32_t routeEpoch() const;
 
 private:
   struct Arena {
     size_t AllocPtr = 0;
     uint32_t LiveCount = 0;
-    uint64_t Generation = 0; ///< Incremented at every reset.
   };
 
   size_t arenaBytes() const { return size_t(1) << ArenaShift; }
   void *bump(size_t Need, size_t Size);
   void *allocateImpl(size_t Size, bool Predicted);
-  void recordBirth(const void *Ptr, size_t Size, bool Predicted,
-                   uint32_t Site);
 
   SiteDatabase Database;
   Config Cfg;
   unsigned ArenaShift = 0; ///< log2(arenaBytes()).
   Stats Counters;
-  mutable std::mutex Lock; ///< Used only when Cfg.ThreadSafe.
+  std::mutex Lock; ///< Used only when Cfg.ThreadSafe.
   std::unique_ptr<unsigned char[]> Area; ///< The contiguous arena area.
   std::vector<Arena> Arenas;
   unsigned Current = 0;
-  /// Audit state; all null/empty (and untouched) without a recorder.
-  FlightRecorder *Recorder = nullptr;
-  DriftSampleLog *DriftLog = nullptr;
-  OnlinePredictor *Online = nullptr;
-  uint64_t ByteClock = 0;
-  uint64_t NextId = 0;
-  std::unordered_map<const void *, uint64_t> LiveIds;
-  /// Birth facts the online feedback loop needs at deallocate().
-  struct OnlineBirth {
-    SiteKey Site = 0;
-    uint64_t BirthClock = 0;
-    bool RoutedShort = false;
-  };
-  std::unordered_map<const void *, OnlineBirth> OnlineLive;
 };
 
 } // namespace lifepred

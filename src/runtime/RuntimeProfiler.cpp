@@ -49,16 +49,3 @@ SiteDatabase RuntimeProfiler::train(const TrainingOptions &Options) {
   Profile P = takeProfile();
   return trainDatabase(P, Policy, Options);
 }
-
-TrainedQuantileMap RuntimeProfiler::quantileProbes() const {
-  TrainedQuantileMap Map;
-  for (const auto &[Key, Stats] : Sites) {
-    TrainedSiteQuantiles Quantiles;
-    Quantiles.Objects = Stats.Objects;
-    Quantiles.Q25 = Stats.Lifetimes.quantile(0.25);
-    Quantiles.Q50 = Stats.Lifetimes.quantile(0.50);
-    Quantiles.Q75 = Stats.Lifetimes.quantile(0.75);
-    Map.emplace(static_cast<uint32_t>(Key), Quantiles);
-  }
-  return Map;
-}

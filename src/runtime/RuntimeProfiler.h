@@ -18,7 +18,6 @@
 
 #include "core/Profiler.h"
 #include "core/Trainer.h"
-#include "telemetry/LifetimeAudit.h"
 
 #include <cstdint>
 #include <unordered_map>
@@ -52,14 +51,6 @@ public:
 
   /// Convenience: finalize and train in one step.
   SiteDatabase train(const TrainingOptions &Options = {});
-
-  /// Live-database probes for the drift observatory: per-site lifetime
-  /// quantiles of everything profiled so far, keyed by the truncated
-  /// uint32 site key PredictingHeap feeds its DriftSampleLog — so a live
-  /// run's observed windows can be scored against what the database
-  /// trained on (the static-vs-observed comparison).  Non-destructive,
-  /// unlike takeProfile(); still-live objects are not counted.
-  TrainedQuantileMap quantileProbes() const;
 
 private:
   struct LiveObject {

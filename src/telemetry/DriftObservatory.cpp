@@ -70,56 +70,6 @@ void DriftObservatory::recordAlloc(uint64_t BirthClock, uint32_t Site,
 }
 
 //===----------------------------------------------------------------------===//
-// DriftSampleLog
-//===----------------------------------------------------------------------===//
-
-void DriftSampleLog::recordAlloc(uint64_t Id, uint64_t BirthClock,
-                                 uint32_t Site, uint32_t Size,
-                                 bool PredictedShort) {
-  Index[Id] = Samples.size();
-  Sample S;
-  S.Birth = BirthClock;
-  S.Site = Site;
-  S.Size = Size;
-  S.Predicted = PredictedShort;
-  Samples.push_back(S);
-  EndClock = std::max(EndClock, BirthClock);
-}
-
-void DriftSampleLog::recordFree(uint64_t Id, uint64_t DeathClock) {
-  auto It = Index.find(Id);
-  if (It == Index.end())
-    return;
-  Samples[It->second].Death = DeathClock;
-  EndClock = std::max(EndClock, DeathClock);
-  Index.erase(It);
-}
-
-void DriftSampleLog::finish(uint64_t FinalClock) {
-  EndClock = std::max(EndClock, FinalClock);
-}
-
-DriftObservatory DriftSampleLog::build(uint64_t WindowBytes,
-                                       uint64_t Threshold) const {
-  DriftConfig C;
-  C.EndClock = EndClock;
-  C.WindowBytes = WindowBytes;
-  C.Threshold = Threshold;
-  DriftObservatory Obs(C);
-  constexpr uint64_t Never = ~uint64_t(0);
-  for (const Sample &S : Samples) {
-    uint64_t Lifetime = S.Death == Never ? Never : S.Death - S.Birth;
-    uint64_t AtExit = EndClock - std::min(S.Birth, EndClock);
-    uint64_t Observed = std::min(Lifetime, AtExit);
-    if (Observed == 0)
-      Observed = 1;
-    Obs.recordAlloc(S.Birth, S.Site, S.Size, S.Predicted, Lifetime,
-                    Observed <= Threshold);
-  }
-  return Obs;
-}
-
-//===----------------------------------------------------------------------===//
 // Report building
 //===----------------------------------------------------------------------===//
 

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -134,41 +133,6 @@ private:
   /// windowCount() * LaneCount, window-major.
   std::vector<uint64_t> Counters;
   std::vector<uint64_t> Log;
-};
-
-/// Replayable record of a live run's allocation outcomes, for hosts (the
-/// real PredictingHeap, RuntimeProfiler-driven probes) that do not know
-/// the final byte clock until the run ends.  Feed births and deaths as
-/// they happen, finish() at the end, then build() an observatory whose
-/// EndClock is the observed final clock.
-class DriftSampleLog {
-public:
-  void recordAlloc(uint64_t Id, uint64_t BirthClock, uint32_t Site,
-                   uint32_t Size, bool PredictedShort);
-  void recordFree(uint64_t Id, uint64_t DeathClock);
-  /// Pins the end clock (still-live objects clamp to it in build()).
-  void finish(uint64_t EndClock);
-
-  uint64_t endClock() const { return EndClock; }
-  size_t size() const { return Samples.size(); }
-
-  /// Replays the log into a fresh observatory.  \p WindowBytes 0 picks
-  /// the automatic width; \p Threshold classifies ActuallyShort from the
-  /// exit-clamped lifetime.
-  DriftObservatory build(uint64_t WindowBytes, uint64_t Threshold) const;
-
-private:
-  struct Sample {
-    uint64_t Birth = 0;
-    uint64_t Death = ~uint64_t(0); ///< Max = never freed.
-    uint32_t Site = 0;
-    uint32_t Size = 0;
-    bool Predicted = false;
-  };
-
-  std::vector<Sample> Samples;
-  std::map<uint64_t, size_t> Index;
-  uint64_t EndClock = 0;
 };
 
 /// One window row of the drift report.

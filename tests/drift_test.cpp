@@ -6,17 +6,13 @@
 // small trace with an engineered mid-trace lifetime shift (window-edge
 // placement and empty trailing windows included), the geometry limit of
 // its packed lifetime log, the CUSUM change-point localizer, per-site
-// observed-vs-trained divergence scoring, the ESPRESSO acceptance run,
-// and the DriftSampleLog / PredictingHeap /
-// RuntimeProfiler::quantileProbes live-run path.
+// observed-vs-trained divergence scoring, and the ESPRESSO acceptance
+// run.
 //
 //===----------------------------------------------------------------------===//
 
 #include "callchain/FunctionRegistry.h"
 #include "core/Pipeline.h"
-#include "runtime/Instrument.h"
-#include "runtime/PredictingHeap.h"
-#include "runtime/RuntimeProfiler.h"
 #include "sim/SimTelemetry.h"
 #include "sim/TraceSimulator.h"
 #include "telemetry/DriftObservatory.h"
@@ -27,11 +23,9 @@
 
 #include "gtest/gtest.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 using namespace lifepred;
 
@@ -385,129 +379,4 @@ TEST(DriftShapeTest, EspressoLocalizesChangePointWithNamedSite) {
   ASSERT_TRUE(R.hasWorstSite());
   EXPECT_GT(R.worstSite().Objects, 0u);
   EXPECT_GT(R.worstSite().Score, 0.0);
-}
-
-//===----------------------------------------------------------------------===//
-// Live-run path: DriftSampleLog, PredictingHeap, RuntimeProfiler probes
-//===----------------------------------------------------------------------===//
-
-TEST(DriftSampleLogTest, BuildMatchesDirectFill) {
-  DriftSampleLog Log;
-  Log.recordAlloc(1, 0, 7, 16, true);
-  Log.recordFree(1, 10); // Lifetime 10.
-  Log.recordAlloc(2, 300, 7, 16, true);
-  Log.recordFree(2, 700); // Lifetime 400.
-  Log.recordAlloc(3, 500, 9, 8, false); // Never freed.
-  Log.finish(1000);
-  EXPECT_EQ(Log.endClock(), 1000u);
-
-  DriftObservatory Built = Log.build(100, 50);
-  DriftConfig C;
-  C.EndClock = 1000;
-  C.WindowBytes = 100;
-  C.Threshold = 50;
-  DriftObservatory Direct(C);
-  Direct.recordAlloc(0, 7, 16, true, 10, true);
-  Direct.recordAlloc(300, 7, 16, true, 400, false);
-  // Never freed clamps to exit: observed 500, actually long.
-  Direct.recordAlloc(500, 9, 8, false, ~uint64_t(0), false);
-  EXPECT_TRUE(Built == Direct);
-}
-
-namespace {
-
-/// An instrumented "application" driving a profiler or a predicting heap
-/// behind shadow-stack frames (runtime_test's shape), with a mid-run
-/// behaviour shift: temporaries start leaking into a retained list.
-struct DriftApp {
-  RuntimeProfiler *Profiler = nullptr;
-  PredictingHeap *Heap = nullptr;
-  std::vector<void *> Retained;
-  uintptr_t NextFake = 0x1000;
-
-  void *alloc(uint32_t Size) {
-    if (Heap)
-      return Heap->allocate(Size);
-    auto *P = reinterpret_cast<void *>(NextFake += 64);
-    Profiler->recordAlloc(P, Size);
-    return P;
-  }
-  void release(void *P) {
-    if (Heap)
-      Heap->deallocate(P);
-    else
-      Profiler->recordFree(P);
-  }
-
-  void makeTemporary(bool Leak) {
-    LIFEPRED_NAMED_FUNCTION("makeTemporary");
-    void *P = alloc(24);
-    if (Leak)
-      Retained.push_back(P);
-    else
-      release(P);
-  }
-
-  void run(int Iterations, bool ShiftAtHalf) {
-    LIFEPRED_NAMED_FUNCTION("run");
-    for (int I = 0; I < Iterations; ++I)
-      makeTemporary(ShiftAtHalf && I >= Iterations / 2);
-  }
-};
-
-} // namespace
-
-TEST(DriftRuntimeTest, PredictingHeapFeedsSampleLogAndProbesScoreIt) {
-  ShadowStack::current().clear();
-
-  // Train on well-behaved churn: temporaries die instantly, so their site
-  // trains short-lived with tiny quantiles.
-  RuntimeProfiler Profiler(SiteKeyPolicy::lastN(4));
-  DriftApp TrainApp;
-  TrainApp.Profiler = &Profiler;
-  TrainApp.run(4000, /*ShiftAtHalf=*/false);
-  TrainedQuantileMap Probes = Profiler.quantileProbes();
-  EXPECT_FALSE(Probes.empty());
-  SiteDatabase DB = Profiler.train();
-  ASSERT_GE(DB.size(), 1u);
-
-  // Optimized run with a drift log attached; halfway through, the same
-  // site's objects start living to program exit.
-  PredictingHeap Heap(DB);
-  DriftSampleLog Log;
-  Heap.attachDriftLog(&Log);
-  DriftApp TestApp;
-  TestApp.Heap = &Heap;
-  TestApp.run(4000, /*ShiftAtHalf=*/true);
-  Heap.finishRecording();
-  EXPECT_EQ(Log.size(), 4000u);
-  EXPECT_GT(Log.endClock(), 0u);
-
-  // Score the live run against the profiler's live-database probes: the
-  // leaked second half shows up as false shorts with pinned bytes, and
-  // the worst-drift site is named.
-  DriftObservatory Obs = Log.build(0, DB.threshold());
-  DriftReport R = buildDriftReport(Obs, &Probes, "live");
-  EXPECT_EQ(R.TotalObjects, 4000u);
-  EXPECT_GT(R.TrueShort, 0u);
-  EXPECT_GT(R.FalseShort, 0u);
-  EXPECT_GT(R.PinnedBytes, 0u);
-  ASSERT_TRUE(R.hasWorstSite());
-  EXPECT_GT(R.worstSite().Score, 0.0);
-  // The leak starts at the midpoint, so the CUSUM flags change points in
-  // the shifted back half.  (The front half legitimately flags too: with
-  // a balanced two-phase run, both phases deviate from the global mean.)
-  ASSERT_GE(R.changePointCount(), 1u);
-  uint64_t Half = R.Windows.size() / 2;
-  EXPECT_TRUE(std::any_of(R.ChangePointWindows.begin(),
-                          R.ChangePointWindows.end(),
-                          [Half](uint64_t W) { return W >= Half; }));
-
-  // Detach and confirm the heap keeps working.
-  Heap.attachDriftLog(nullptr);
-  void *P = Heap.allocate(24);
-  ASSERT_NE(P, nullptr);
-  Heap.deallocate(P);
-  for (void *Leaked : TestApp.Retained)
-    Heap.deallocate(Leaked);
 }

@@ -8,16 +8,12 @@
 // headline telemetry export, chrome://tracing occupancy spans, reset-closed
 // episodes with survivor death backfill, reservoir sampling determinism,
 // recorder-vs-SimTelemetry confusion equivalence on both predicting
-// simulators, jobs-invariance of the full audit output, and the
-// PredictingHeap attach/finish lifecycle.
+// simulators, and jobs-invariance of the full audit output.
 //
 //===----------------------------------------------------------------------===//
 
 #include "alloc/ArenaAllocator.h"
 #include "core/Pipeline.h"
-#include "runtime/Instrument.h"
-#include "runtime/PredictingHeap.h"
-#include "runtime/RuntimeProfiler.h"
 #include "sim/MultiArenaSimulator.h"
 #include "sim/SimTelemetry.h"
 #include "sim/TraceSimulator.h"
@@ -540,86 +536,4 @@ TEST(FlightRecorderSimTest, AuditJsonIdenticalAtAnyJobCount) {
   EXPECT_EQ(Serial, auditAtJobCount(8, TaskCount));
   // Sanity: the output is substantial, not trivially empty.
   EXPECT_GT(Serial.size(), 1000u);
-}
-
-//===----------------------------------------------------------------------===//
-// PredictingHeap integration
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// An instrumented "application" driving a profiler or a predicting heap
-/// behind shadow-stack frames (runtime_test's shape).
-struct AuditApp {
-  RuntimeProfiler *Profiler = nullptr;
-  PredictingHeap *Heap = nullptr;
-  std::vector<void *> Retained;
-  uintptr_t NextFake = 0x1000;
-
-  void *alloc(uint32_t Size) {
-    if (Heap)
-      return Heap->allocate(Size);
-    auto *P = reinterpret_cast<void *>(NextFake += 64);
-    Profiler->recordAlloc(P, Size);
-    return P;
-  }
-  void release(void *P) {
-    if (Heap)
-      Heap->deallocate(P);
-    else
-      Profiler->recordFree(P);
-  }
-  void temporary() {
-    LIFEPRED_NAMED_FUNCTION("temporary");
-    void *P = alloc(24);
-    release(P);
-  }
-  void node() {
-    LIFEPRED_NAMED_FUNCTION("node");
-    Retained.push_back(alloc(24));
-  }
-  void run(int Iterations) {
-    LIFEPRED_NAMED_FUNCTION("run");
-    for (int I = 0; I < Iterations; ++I) {
-      temporary();
-      if (I % 50 == 0)
-        node();
-    }
-  }
-};
-
-} // namespace
-
-TEST(PredictingHeapRecorderTest, AuditTrailCoversEveryAllocation) {
-  ShadowStack::current().clear();
-  RuntimeProfiler Profiler(SiteKeyPolicy::lastN(4));
-  AuditApp Train;
-  Train.Profiler = &Profiler;
-  Train.run(1000);
-  SiteDatabase DB = Profiler.train();
-
-  ShadowStack::current().clear();
-  PredictingHeap Heap(DB);
-  FlightRecorder Rec;
-  Heap.attachRecorder(&Rec);
-  AuditApp App;
-  App.Heap = &Heap;
-  App.run(1000);
-  for (void *P : App.Retained)
-    Heap.deallocate(P);
-  Heap.finishRecording();
-
-  EXPECT_TRUE(Rec.finished());
-  uint64_t Allocs = Heap.stats().ArenaAllocs + Heap.stats().GeneralAllocs;
-  EXPECT_EQ(Rec.totalObjects(), Allocs);
-  // The heap drives a bytes-allocated clock.
-  EXPECT_EQ(Rec.finalClock(),
-            Heap.stats().ArenaBytes + Heap.stats().GeneralBytes);
-  // Everything was freed before finish, so every record carries a death.
-  AuditReport Report = buildAuditReport(Rec, nullptr, "heap");
-  EXPECT_EQ(Report.TrueShort + Report.FalseShort + Report.MissedShort +
-                Report.TrueLong,
-            Allocs);
-  for (const FlightRecorder::ObjectRecord &R : Report.Samples)
-    EXPECT_NE(R.DeathClock, FlightRecorder::NoDeath);
 }

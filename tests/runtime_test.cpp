@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Instrument.h"
-#include "runtime/OnlinePredictor.h"
 #include "runtime/PredictingHeap.h"
 #include "runtime/RuntimeProfiler.h"
 #include "runtime/StlAllocator.h"
 
 #include "gtest/gtest.h"
 
-#include <atomic>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -334,55 +332,19 @@ TEST(PredictingHeapTest, ThreadSafeModeSurvivesConcurrentChurn) {
   EXPECT_EQ(Heap.stats().ArenaAllocs + Heap.stats().GeneralAllocs, 60000u);
 }
 
-TEST(PredictingHeapTest, RouteEpochIsSafeToPollDuringAThreadSafeRun) {
-  // One thread churns a site trained short whose objects now live long,
-  // so the online predictor re-routes it mid-run and bumps its epoch;
-  // another thread polls routeEpoch() throughout.  Under ThreadSanitizer
-  // an unlocked read of the epoch is a reported race.
+TEST(PredictingHeapTest, ArenaDoubleFreeAbortsInEveryBuild) {
+  // Checked, not asserted: in a Release build a second free would wrap
+  // the arena's live count, and that arena would never reset again.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
   SiteKeyPolicy Policy = SiteKeyPolicy::lastN(4);
   SiteDatabase DB(Policy, 32768);
-  DB.insert(siteKey(Policy, CallChain{11}, 64));
-  OnlinePredictorConfig OnlineCfg;
-  OnlineCfg.WarmStart = &DB;
-  OnlineCfg.WindowBytes = 4096;
-  OnlinePredictor Online(OnlineCfg);
-  PredictingHeap::Config Cfg;
-  Cfg.ThreadSafe = true;
-  PredictingHeap Heap(DB, Cfg);
-  Heap.attachOnline(&Online);
+  DB.insert(siteKey(Policy, CallChain{7}, 64));
 
-  std::atomic<bool> Done{false};
-  uint32_t LastPolled = 0;
-  bool Monotone = true;
-  std::thread Poller([&] {
-    auto Poll = [&] {
-      uint32_t Epoch = Heap.routeEpoch();
-      Monotone &= Epoch >= LastPolled;
-      LastPolled = Epoch;
-    };
-    while (!Done.load(std::memory_order_acquire))
-      Poll();
-    Poll();
-  });
-  std::thread Churn([&] {
-    ShadowStack::current().clear();
-    ScopedFrame Frame(11);
-    // Each object dies 1024 allocations (64 KiB) after its birth: long
-    // lived against the 32 KiB threshold it was trained short under.
-    std::vector<void *> Ring(1024, nullptr);
-    for (size_t I = 0; I < 40000; ++I) {
-      void *&Slot = Ring[I % Ring.size()];
-      Heap.deallocate(Slot);
-      Slot = Heap.allocate(64);
-    }
-    for (void *P : Ring)
-      Heap.deallocate(P);
-    Done.store(true, std::memory_order_release);
-  });
-  Churn.join();
-  Poller.join();
-
-  EXPECT_GE(Heap.routeEpoch(), 1u);
-  EXPECT_TRUE(Monotone);
-  EXPECT_EQ(LastPolled, Heap.routeEpoch());
+  ShadowStack::current().clear();
+  PredictingHeap Heap(DB);
+  ScopedFrame F(7);
+  void *P = Heap.allocate(64);
+  ASSERT_TRUE(Heap.isArenaPointer(P));
+  Heap.deallocate(P);
+  EXPECT_DEATH(Heap.deallocate(P), "arena double free");
 }
