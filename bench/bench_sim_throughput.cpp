@@ -414,11 +414,6 @@ int runStreamBench(const CommandLine &Cl, const BenchOptions &Options) {
 
   ThreadPool Pool(Options.Jobs);
   std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
-  if (All.empty()) {
-    std::fprintf(stderr, "error: unknown program '%s'\n",
-                 Options.OnlyProgram.c_str());
-    return 1;
-  }
 
   constexpr unsigned ShapeCount = 4;
   const char *const ShapeNames[ShapeCount] = {"stream-ff", "stream-bsd",
