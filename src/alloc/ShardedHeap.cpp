@@ -105,39 +105,8 @@ void CasHeapShard::sampleFragmentation(uint64_t Clock,
 }
 
 //===----------------------------------------------------------------------===//
-// Shard sets
+// CasShardSet
 //===----------------------------------------------------------------------===//
-
-FirstFitShardSet::FirstFitShardSet(const SharedBackingStore::Config &Backing,
-                                   FirstFitAllocator::Config Alloc,
-                                   unsigned Shards) {
-  Store.configure(Backing, Shards);
-  this->Shards.reserve(Shards);
-  for (unsigned S = 0; S < Shards; ++S) {
-    Alloc.BaseAddress = Store.laneBase(S);
-    this->Shards.push_back(std::make_unique<FirstFitAllocator>(Alloc));
-  }
-}
-
-void FirstFitShardSet::exportShard(unsigned Shard, StatsRegistry &Registry,
-                                   const std::string &Prefix) const {
-  Shards[Shard]->exportTelemetry(Registry, Prefix);
-}
-
-BsdShardSet::BsdShardSet(const SharedBackingStore::Config &Backing,
-                         BsdAllocator::Config Alloc, unsigned Shards) {
-  Store.configure(Backing, Shards);
-  this->Shards.reserve(Shards);
-  for (unsigned S = 0; S < Shards; ++S) {
-    Alloc.BaseAddress = Store.laneBase(S);
-    this->Shards.push_back(std::make_unique<BsdAllocator>(Alloc));
-  }
-}
-
-void BsdShardSet::exportShard(unsigned Shard, StatsRegistry &Registry,
-                              const std::string &Prefix) const {
-  Shards[Shard]->exportTelemetry(Registry, Prefix);
-}
 
 CasShardSet::CasShardSet(const SharedBackingStore::Config &Backing,
                          CasHeapShard::Config Shard, unsigned Shards)
@@ -151,23 +120,4 @@ CasShardSet::CasShardSet(const SharedBackingStore::Config &Backing,
 void CasShardSet::exportShard(unsigned Shard, StatsRegistry &Registry,
                               const std::string &Prefix) const {
   Shards[Shard].exportTelemetry(Registry, Prefix);
-}
-
-ArenaShardSet::ArenaShardSet(const SharedBackingStore::Config &Backing,
-                             ArenaAllocator::Config Alloc, unsigned Shards) {
-  Store.configure(Backing, Shards);
-  this->Shards.reserve(Shards);
-  for (unsigned S = 0; S < Shards; ++S) {
-    // The arena area sits at the lane base; the general (first-fit) heap
-    // starts half a lane up so the two regions cannot collide even at the
-    // largest serving scales.
-    Alloc.ArenaBase = Store.laneBase(S);
-    Alloc.General.BaseAddress = Store.laneBase(S) + Backing.LaneBytes / 2;
-    this->Shards.push_back(std::make_unique<ArenaAllocator>(Alloc));
-  }
-}
-
-void ArenaShardSet::exportShard(unsigned Shard, StatsRegistry &Registry,
-                                const std::string &Prefix) const {
-  Shards[Shard]->exportTelemetry(Registry, Prefix);
 }

@@ -28,9 +28,9 @@
 ///     same refill rule, same counters — driven serially it produces
 ///     BsdAllocator's addresses bit for bit (the shadow conformance test
 ///     relies on this).
-///   * *ShardSet — thin per-family containers (first-fit, BSD LIFO,
-///     CAS-Kingsley, predicting arena) presenting one shard-indexed
-///     interface to the engine's templated replay core.
+///   * SimShardSet<AllocatorT> (first-fit, BSD LIFO, predicting arena)
+///     and CasShardSet — thin per-family containers presenting one
+///     shard-indexed interface to the engine's templated replay core.
 ///
 /// Threading contract: allocate()/freeLocal() are owner-only (the worker
 /// that owns the shard this round); freeRemoteEager() is any-thread but
@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lifepred {
@@ -354,26 +355,54 @@ private:
 /// sampleFragmentation (its free lists are bitmap populations, not span
 /// lists, so per-block iteration would be O(blocks) for no extra fidelity).
 
-/// First-fit family: one FirstFitAllocator per shard, based in its lane.
-class FirstFitShardSet {
+/// The AllocatorSim-backed families: one AllocatorT per shard, based in
+/// its lane.  FirstFitAllocator and the LIFO BsdAllocator (the serial
+/// comparison row for the CAS family) take the lane base as their heap
+/// base.  ArenaAllocator is the paper's allocator under multi-tenant
+/// contention: its predictions come from each tenant's own trained site
+/// database (resolved to per-record bits by the engine), and both its
+/// arena area and its general heap sit inside the shard's lane.
+template <typename AllocatorT> class SimShardSet {
+  static constexpr bool IsArena = std::is_same_v<AllocatorT, ArenaAllocator>;
+
 public:
   static constexpr bool SupportsEagerRemoteFree = false;
 
-  FirstFitShardSet(const SharedBackingStore::Config &Backing,
-                   FirstFitAllocator::Config Alloc, unsigned Shards);
+  SimShardSet(const SharedBackingStore::Config &Backing,
+              typename AllocatorT::Config Alloc, unsigned Shards) {
+    Store.configure(Backing, Shards);
+    this->Shards.reserve(Shards);
+    for (unsigned S = 0; S < Shards; ++S) {
+      if constexpr (IsArena) {
+        // The arena area sits at the lane base; the general (first-fit)
+        // heap starts half a lane up so the two regions cannot collide
+        // even at the largest serving scales.
+        Alloc.ArenaBase = Store.laneBase(S);
+        Alloc.General.BaseAddress = Store.laneBase(S) + Backing.LaneBytes / 2;
+      } else {
+        Alloc.BaseAddress = Store.laneBase(S);
+      }
+      this->Shards.push_back(std::make_unique<AllocatorT>(Alloc));
+    }
+  }
 
-  uint64_t allocate(unsigned Shard, uint32_t Size, bool /*PredictedShort*/,
+  uint64_t allocate(unsigned Shard, uint32_t Size, bool PredictedShort,
                     uint64_t & /*CasRetries*/) {
-    return Shards[Shard]->allocate(Size);
+    if constexpr (IsArena)
+      return Shards[Shard]->allocate(Size, PredictedShort);
+    else
+      return Shards[Shard]->allocate(Size);
   }
   void freeLocal(unsigned Shard, uint64_t Addr, uint32_t /*Size*/) {
     Shards[Shard]->free(Addr);
   }
   void freeRemoteEager(unsigned, uint64_t, uint32_t) {
-    assert(false && "first-fit shards have no eager remote-free path");
+    assert(false && "AllocatorSim shards have no eager remote-free path");
   }
   void exportShard(unsigned Shard, StatsRegistry &Registry,
-                   const std::string &Prefix) const;
+                   const std::string &Prefix) const {
+    Shards[Shard]->exportTelemetry(Registry, Prefix);
+  }
   uint64_t shardHeapBytes(unsigned Shard) const {
     return Shards[Shard]->heapBytes();
   }
@@ -382,39 +411,7 @@ public:
 
 private:
   SharedBackingStore Store;
-  std::vector<std::unique_ptr<FirstFitAllocator>> Shards;
-};
-
-/// BSD/Kingsley family: one LIFO BsdAllocator per shard.  The serial
-/// comparison row for the CAS family.
-class BsdShardSet {
-public:
-  static constexpr bool SupportsEagerRemoteFree = false;
-
-  BsdShardSet(const SharedBackingStore::Config &Backing,
-              BsdAllocator::Config Alloc, unsigned Shards);
-
-  uint64_t allocate(unsigned Shard, uint32_t Size, bool /*PredictedShort*/,
-                    uint64_t & /*CasRetries*/) {
-    return Shards[Shard]->allocate(Size);
-  }
-  void freeLocal(unsigned Shard, uint64_t Addr, uint32_t /*Size*/) {
-    Shards[Shard]->free(Addr);
-  }
-  void freeRemoteEager(unsigned, uint64_t, uint32_t) {
-    assert(false && "LIFO BSD shards have no eager remote-free path");
-  }
-  void exportShard(unsigned Shard, StatsRegistry &Registry,
-                   const std::string &Prefix) const;
-  uint64_t shardHeapBytes(unsigned Shard) const {
-    return Shards[Shard]->heapBytes();
-  }
-  const AllocatorSim &shardSim(unsigned Shard) const { return *Shards[Shard]; }
-  const SharedBackingStore &backing() const { return Store; }
-
-private:
-  SharedBackingStore Store;
-  std::vector<std::unique_ptr<BsdAllocator>> Shards;
+  std::vector<std::unique_ptr<AllocatorT>> Shards;
 };
 
 /// Lock-free CAS-Kingsley family: CasHeapShards over one backing store.
@@ -448,40 +445,6 @@ private:
   SharedBackingStore Store;
   std::unique_ptr<CasHeapShard[]> Shards;
   unsigned ShardCount = 0;
-};
-
-/// Predicting-arena family: one ArenaAllocator per shard, arena area and
-/// general heap both inside the shard's lane.  Predictions come from each
-/// tenant's own trained site database (resolved to per-record bits by the
-/// engine) — the paper's allocator, now under multi-tenant contention.
-class ArenaShardSet {
-public:
-  static constexpr bool SupportsEagerRemoteFree = false;
-
-  ArenaShardSet(const SharedBackingStore::Config &Backing,
-                ArenaAllocator::Config Alloc, unsigned Shards);
-
-  uint64_t allocate(unsigned Shard, uint32_t Size, bool PredictedShort,
-                    uint64_t & /*CasRetries*/) {
-    return Shards[Shard]->allocate(Size, PredictedShort);
-  }
-  void freeLocal(unsigned Shard, uint64_t Addr, uint32_t /*Size*/) {
-    Shards[Shard]->free(Addr);
-  }
-  void freeRemoteEager(unsigned, uint64_t, uint32_t) {
-    assert(false && "arena shards have no eager remote-free path");
-  }
-  void exportShard(unsigned Shard, StatsRegistry &Registry,
-                   const std::string &Prefix) const;
-  uint64_t shardHeapBytes(unsigned Shard) const {
-    return Shards[Shard]->heapBytes();
-  }
-  const AllocatorSim &shardSim(unsigned Shard) const { return *Shards[Shard]; }
-  const SharedBackingStore &backing() const { return Store; }
-
-private:
-  SharedBackingStore Store;
-  std::vector<std::unique_ptr<ArenaAllocator>> Shards;
 };
 
 } // namespace lifepred

@@ -451,11 +451,11 @@ ServeResult lifepred::runServe(TenantSet &Tenants,
   SharedBackingStore::Config Backing;
   switch (Options.Family) {
   case ServeFamily::FirstFit: {
-    FirstFitShardSet Set(Backing, FirstFitAllocator::Config(), Cfg.Shards);
+    SimShardSet<FirstFitAllocator> Set(Backing, FirstFitAllocator::Config(), Cfg.Shards);
     return runServeImpl(Tenants, Set, Options);
   }
   case ServeFamily::Bsd: {
-    BsdShardSet Set(Backing, BsdAllocator::Config(), Cfg.Shards);
+    SimShardSet<BsdAllocator> Set(Backing, BsdAllocator::Config(), Cfg.Shards);
     return runServeImpl(Tenants, Set, Options);
   }
   case ServeFamily::Cas: {
@@ -463,7 +463,7 @@ ServeResult lifepred::runServe(TenantSet &Tenants,
     return runServeImpl(Tenants, Set, Options);
   }
   case ServeFamily::Arena: {
-    ArenaShardSet Set(Backing, ArenaAllocator::Config(), Cfg.Shards);
+    SimShardSet<ArenaAllocator> Set(Backing, ArenaAllocator::Config(), Cfg.Shards);
     return runServeImpl(Tenants, Set, Options);
   }
   }
