@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 using namespace lifepred;
 
@@ -30,18 +31,21 @@ int main(int Argc, char **Argv) {
 
   ProgramModel Model;
   bool Found = false;
-  for (ProgramModel &M : allPrograms()) {
+  std::vector<ProgramModel> Programs = allPrograms();
+  for (ProgramModel &M : Programs) {
     if (M.Name == Name) {
       Model = M;
       Found = true;
     }
   }
   if (!Found) {
-    std::fprintf(stderr,
-                 "error: unknown program '%s' (try CFRAC, ESPRESSO, GAWK, "
-                 "GHOST, or PERL)\n",
+    // The same usage error, and exit status, as every bench binary.
+    std::fprintf(stderr, "error: --program=%s: unknown program; want one of",
                  Name.c_str());
-    return 1;
+    for (const ProgramModel &M : Programs)
+      std::fprintf(stderr, " %s", M.Name.c_str());
+    std::fprintf(stderr, "\n");
+    return 2;
   }
 
   RunOptions Run;

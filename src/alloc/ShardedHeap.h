@@ -145,7 +145,7 @@ struct RemoteFreeNode {
 /// genuinely contended hot path in channel mode — its retry count is the
 /// bench's channel-contention signal); drain() is the owner's single
 /// exchange.  Node lifetime is the caller's problem: the serving engine
-/// hands out nodes from per-worker pools and recycles them after the
+/// hands out nodes from worker-local pools and recycles them after the
 /// post-drain barrier, when no drained list can still be referenced.
 class RemoteFreeChannel {
 public:
@@ -181,10 +181,12 @@ private:
   alignas(64) std::atomic<RemoteFreeNode *> Head{nullptr};
 };
 
-/// Per-worker bump pool of RemoteFreeNodes.  acquire() never recycles
-/// within a round; reset() (called by the owning worker after the
-/// post-drain barrier) makes every node available again without freeing
-/// the chunks, so steady-state rounds allocate nothing.
+/// Bump pool of RemoteFreeNodes, one per engine worker and local to the
+/// worker's body, so its Used count shares no cache line with another
+/// worker's.  acquire() never recycles within a round; reset() (called by
+/// the owning worker after the post-drain barrier) makes every node
+/// available again without freeing the chunks, so steady-state rounds
+/// allocate nothing.
 class RemoteNodePool {
 public:
   RemoteFreeNode *acquire() {
@@ -242,7 +244,10 @@ struct ContentionCounters {
 /// through the SharedBackingStore lane, there is no internal live map
 /// (the serving engine's tenant tables carry sizes), and Frees/LiveBytes
 /// are relaxed atomics so eager-mode remote frees can maintain them.
-class CasHeapShard {
+/// Cache-line-aligned: CasShardSet packs shards into one array, and every
+/// alloc and free does a fetch_add on LiveBytes, which must not share a
+/// line with the next shard's Cfg (read by its owner in every bucketFor).
+class alignas(64) CasHeapShard {
 public:
   struct Config {
     uint64_t PageBytes = 8192;   ///< Refill granularity.

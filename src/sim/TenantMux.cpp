@@ -160,14 +160,16 @@ const std::string &TenantSet::tenantProgram(unsigned Tenant) const {
 
 namespace {
 
+// Each buffer holds its section name, the widest unsigned (10 digits), the
+// trailing dot and the NUL, so no index is ever cut short.
 std::string shardPrefix(const std::string &Prefix, unsigned Shard) {
-  char Buffer[16];
+  char Buffer[24];
   std::snprintf(Buffer, sizeof(Buffer), "shard.%02u.", Shard);
   return Prefix + Buffer;
 }
 
 std::string tenantPrefix(const std::string &Prefix, unsigned Tenant) {
-  char Buffer[16];
+  char Buffer[24];
   std::snprintf(Buffer, sizeof(Buffer), "tenant.%04u.", Tenant);
   return Prefix + Buffer;
 }
@@ -211,13 +213,14 @@ ServeResult runServeImpl(TenantSet &TS, SetT &Set,
     Opt.OpLog->resize(ShardCount);
   }
 
-  // Per-shard channels; per-worker node pools and contention buffers
-  // (keyed by ThreadPool::currentWorkerIndex(), so each engine worker
-  // touches only its own).  Per-shard event/drain counters are written
-  // only by the shard's owner — single-writer, hence race-free and, in
-  // channel mode, deterministic.
+  // Per-shard channels, and per-shard event/drain counters written only
+  // by the shard's owner — single-writer, hence race-free and, in channel
+  // mode, deterministic.  Every write the replay makes per event goes to
+  // worker-private state (the body's locals) or to a line-aligned,
+  // owner-only cell (shard heaps, lanes, channel heads): these shared
+  // vectors pack several shards or workers into one cache line, so they
+  // are written once per shard per round, or once per run.
   std::vector<RemoteFreeChannel> Channels(ShardCount);
-  std::vector<RemoteNodePool> NodePools(Workers);
   std::vector<ContentionCounters> Contention(Workers);
   std::vector<uint64_t> ShardEvents(ShardCount, 0);
   std::vector<uint64_t> ShardDrained(ShardCount, 0);
@@ -230,9 +233,10 @@ ServeResult runServeImpl(TenantSet &TS, SetT &Set,
   std::barrier<> RoundBarrier(Workers);
 
   auto WorkerBody = [&](size_t Worker) {
-    const unsigned Slot = ThreadPool::currentWorkerIndex();
-    RemoteNodePool &NodePool = NodePools[Slot];
-    ContentionCounters &Counters = Contention[Slot];
+    // The node pool outlives every node it hands out: the body returns
+    // only after its last post-drain barrier.
+    RemoteNodePool NodePool;
+    ContentionCounters Counters;
     std::vector<RemoteFreeNode *> Scratch;
 
     for (uint64_t Round = 0; Round < Rounds; ++Round) {
@@ -240,7 +244,7 @@ ServeResult runServeImpl(TenantSet &TS, SetT &Set,
       // shard this worker owns, in ascending shard then tenant order.
       for (unsigned Shard = Worker; Shard < ShardCount; Shard += Workers) {
         LatencyRecorder *Lat = Latency[Shard].get();
-        uint64_t &Events = ShardEvents[Shard];
+        uint64_t Events = 0;
         unsigned FirstTenant =
             (Shard + ShardCount - unsigned(Round % ShardCount)) % ShardCount;
         for (unsigned Tenant = FirstTenant; Tenant < TenantCount;
@@ -304,6 +308,7 @@ ServeResult runServeImpl(TenantSet &TS, SetT &Set,
             ++Events;
           }
         }
+        ShardEvents[Shard] += Events;
       }
 
       if (Eager) {
@@ -347,14 +352,14 @@ ServeResult runServeImpl(TenantSet &TS, SetT &Set,
       RoundBarrier.arrive_and_wait();
       NodePool.reset();
     }
+    Contention[Worker] = Counters;
   };
 
   if (Workers <= 1) {
     WorkerBody(0);
   } else {
     // W barrier-synchronized bodies on a W-thread pool: no body can finish
-    // until all are running, so each pool worker takes exactly one and
-    // currentWorkerIndex() values are distinct in [0, W).
+    // until all are running, so each pool worker takes exactly one.
     ThreadPool EnginePool(Workers);
     parallelForIndex(EnginePool, Workers, WorkerBody);
   }

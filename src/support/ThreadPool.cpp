@@ -8,21 +8,12 @@
 
 using namespace lifepred;
 
-namespace {
-/// Index of this thread within the pool that spawned it; 0 on threads no
-/// pool owns (the main thread, inline serial mode).
-thread_local unsigned PoolWorkerIndex = 0;
-} // namespace
-
 ThreadPool::ThreadPool(unsigned Threads) : Threads(Threads < 1 ? 1 : Threads) {
   if (this->Threads <= 1)
     return; // Inline serial mode: submit() runs tasks directly.
   Workers.reserve(this->Threads);
   for (unsigned I = 0; I < this->Threads; ++I)
-    Workers.emplace_back([this, I] {
-      PoolWorkerIndex = I;
-      workerLoop();
-    });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -39,8 +30,6 @@ unsigned ThreadPool::defaultThreadCount() {
   unsigned Hardware = std::thread::hardware_concurrency();
   return Hardware == 0 ? 1 : Hardware;
 }
-
-unsigned ThreadPool::currentWorkerIndex() { return PoolWorkerIndex; }
 
 void ThreadPool::enqueue(std::function<void()> Task) {
   {

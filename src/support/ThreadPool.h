@@ -54,15 +54,6 @@ public:
   /// or 1 when it cannot be determined.
   static unsigned defaultThreadCount();
 
-  /// Stable index of the calling thread within the pool that owns it:
-  /// worker I of an N-thread pool always returns I in [0, N).  Threads not
-  /// owned by any pool — including the caller in inline serial mode —
-  /// return 0, so "index 0" is the serial identity everywhere.  The serving
-  /// engine keys per-worker contention buffers and remote-free node pools
-  /// off this; it is thread_local, so nested pools each see their own
-  /// owner's index.
-  static unsigned currentWorkerIndex();
-
   /// Submits \p Fn for execution; the returned future yields its result and
   /// rethrows any exception it raised.
   template <typename Fn>

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -313,6 +314,40 @@ TEST(ServeEngineTest, TenantSumsMatchAggregateAndCrossShardTrafficExists) {
   // Every shard saw work.
   EXPECT_GT(Result.ShardEventsMin, 0u);
   EXPECT_GE(Result.ShardEventsMax, Result.ShardEventsMin);
+}
+
+TEST(ServeEngineTest, WorkerLocalCountersAreMergedAtAnyWorkerCount) {
+  // Workers count pushes and shard events in private locals and publish
+  // them once per round or once per run.  In channel mode each remote free
+  // is exactly one push, and per-shard event counts depend only on the
+  // schedules, so a body that drops or overwrites its locals shows here.
+  ThreadPool Pool(2);
+  TenantSet Tenants(smallConfig(), Pool);
+  const unsigned Shards = Tenants.config().Shards;
+
+  for (ServeFamily Family : {ServeFamily::FirstFit, ServeFamily::Bsd,
+                             ServeFamily::Cas, ServeFamily::Arena}) {
+    std::vector<ServeResult> Results;
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      Tenants.resetReplayState();
+      ServeRunOptions Run;
+      Run.Family = Family;
+      Run.Remote = RemoteFreeMode::Channel;
+      Run.Workers = Workers;
+      Results.push_back(runServe(Tenants, Run));
+      const ServeResult &R = Results.back();
+      SCOPED_TRACE("family " + std::to_string(int(Family)) + ", " +
+                   std::to_string(Workers) + " workers");
+      EXPECT_GT(R.RemoteFrees, 0u);
+      EXPECT_EQ(R.Contention.RemoteFreePushes, R.RemoteFrees);
+      // The busiest shard handled at least its share of the events.
+      EXPECT_GE(R.ShardEventsMax * Shards, R.Events);
+    }
+    for (const ServeResult &R : Results) {
+      EXPECT_EQ(R.ShardEventsMax, Results[0].ShardEventsMax);
+      EXPECT_EQ(R.ShardEventsMin, Results[0].ShardEventsMin);
+    }
+  }
 }
 
 TEST(ServeEngineTest, EagerTotalsMatchChannelTotals) {

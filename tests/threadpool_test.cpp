@@ -101,56 +101,16 @@ TEST(ParallelForIndexTest, RethrowsLowestIndexFailureAfterJoining) {
   EXPECT_EQ(Ran.load(), 16);
 }
 
-TEST(ThreadPoolTest, WorkerIndicesAreStableAndDistinct) {
-  // The serving engine keys per-worker state (remote-free node pools,
-  // contention counters) by currentWorkerIndex(); that requires every pool
-  // thread to carry a distinct index in [0, threadCount) for its lifetime.
-  constexpr unsigned Threads = 4;
-  ThreadPool Pool(Threads);
-  std::vector<std::future<void>> Futures;
-  std::vector<unsigned> Seen(Threads, ~0u);
-  std::atomic<unsigned> Arrived{0};
-  for (unsigned I = 0; I < Threads; ++I)
-    Futures.push_back(Pool.submit([&] {
-      unsigned Index = ThreadPool::currentWorkerIndex();
-      ASSERT_LT(Index, Threads);
-      Seen[Index] = Index;
-      // Hold every worker until all four tasks are in flight, so the four
-      // tasks land on four distinct workers.
-      ++Arrived;
-      while (Arrived.load() < Threads)
-        std::this_thread::yield();
-    }));
-  for (auto &Future : Futures)
-    Future.get();
-  for (unsigned I = 0; I < Threads; ++I)
-    EXPECT_EQ(Seen[I], I);
-}
-
-TEST(ThreadPoolTest, WorkerIndexIsZeroOffPool) {
-  // The caller's thread (inline single-thread mode, or test code outside
-  // any pool) reads index 0, so W=1 engine runs need no special casing.
-  EXPECT_EQ(ThreadPool::currentWorkerIndex(), 0u);
-  ThreadPool Pool(1);
-  unsigned Inline = ~0u;
-  Pool.submit([&] { Inline = ThreadPool::currentWorkerIndex(); }).get();
-  EXPECT_EQ(Inline, 0u);
-}
-
 TEST(ThreadPoolTest, WorkerSurvivesThrowingTask) {
   // A task that throws must not tear down its worker: the exception goes
-  // to the future, and the same worker keeps serving later tasks with its
-  // index intact.
+  // to the future, and the same worker keeps serving later tasks.
   ThreadPool Pool(2);
   auto Bad = Pool.submit([]() -> int { throw std::logic_error("boom"); });
   EXPECT_THROW(Bad.get(), std::logic_error);
   std::atomic<int> Completed{0};
   std::vector<std::future<void>> Futures;
   for (int I = 0; I < 32; ++I)
-    Futures.push_back(Pool.submit([&] {
-      EXPECT_LT(ThreadPool::currentWorkerIndex(), 2u);
-      ++Completed;
-    }));
+    Futures.push_back(Pool.submit([&] { ++Completed; }));
   for (auto &Future : Futures)
     Future.get();
   EXPECT_EQ(Completed.load(), 32);
