@@ -29,25 +29,27 @@
 
 using namespace lifepred;
 
+ProgramModel lifepred::requireProgram(const std::string &Name,
+                                      const std::string &Arg) {
+  std::vector<ProgramModel> Programs = allPrograms();
+  for (ProgramModel &Model : Programs)
+    if (Model.Name == Name)
+      return std::move(Model);
+  std::fprintf(stderr, "error: %s: unknown program; want one of",
+               Arg.c_str());
+  for (const ProgramModel &Model : Programs)
+    std::fprintf(stderr, " %s", Model.Name.c_str());
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
 BenchOptions BenchOptions::fromCommandLine(const CommandLine &Cl) {
   BenchOptions Options;
   Options.Scale = Cl.getDouble("scale", 1.0);
   Options.Seed = static_cast<uint64_t>(Cl.getInt("seed", 0x1993));
   Options.OnlyProgram = Cl.getString("program", "");
-  if (!Options.OnlyProgram.empty()) {
-    std::vector<ProgramModel> Programs = allPrograms();
-    if (std::none_of(Programs.begin(), Programs.end(),
-                     [&](const ProgramModel &Model) {
-                       return Model.Name == Options.OnlyProgram;
-                     })) {
-      std::fprintf(stderr, "error: --program=%s: unknown program; want one of",
-                   Options.OnlyProgram.c_str());
-      for (const ProgramModel &Model : Programs)
-        std::fprintf(stderr, " %s", Model.Name.c_str());
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-  }
+  if (!Options.OnlyProgram.empty())
+    requireProgram(Options.OnlyProgram, "--program=" + Options.OnlyProgram);
   // Default to every core; an explicit --jobs=0 also means "use every
   // core" and --jobs=1 is strictly serial.
   long Jobs = Cl.getInt("jobs", 0);

@@ -51,6 +51,12 @@ struct ProgramTraces {
   AllocationTrace Test;
 };
 
+/// The program model named \p Name.  An unknown name is a usage error: it
+/// prints the five program names and exits with status 2.  \p Arg is the
+/// argument as it was spelled (`--program=X`, or a positional `X`), for the
+/// message.
+ProgramModel requireProgram(const std::string &Name, const std::string &Arg);
+
 /// Common bench flags.
 struct BenchOptions {
   double Scale = 1.0;

@@ -12,6 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "core/Pipeline.h"
 #include "sim/TraceSimulator.h"
 #include "support/CommandLine.h"
@@ -28,25 +30,7 @@ using namespace lifepred;
 int main(int Argc, char **Argv) {
   CommandLine Cl(Argc, Argv);
   std::string Name = Cl.getString("program", "GAWK");
-
-  ProgramModel Model;
-  bool Found = false;
-  std::vector<ProgramModel> Programs = allPrograms();
-  for (ProgramModel &M : Programs) {
-    if (M.Name == Name) {
-      Model = M;
-      Found = true;
-    }
-  }
-  if (!Found) {
-    // The same usage error, and exit status, as every bench binary.
-    std::fprintf(stderr, "error: --program=%s: unknown program; want one of",
-                 Name.c_str());
-    for (const ProgramModel &M : Programs)
-      std::fprintf(stderr, " %s", M.Name.c_str());
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
+  ProgramModel Model = requireProgram(Name, "--program=" + Name);
 
   RunOptions Run;
   Run.Scale = Cl.getDouble("scale", 0.25);

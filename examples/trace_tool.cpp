@@ -155,16 +155,14 @@ int usage() {
 /// bit-identical at any --jobs.
 int runAudit(const CommandLine &Cl, const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
-  if (Target != "all")
+  if (Target != "all") {
+    requireProgram(Target, Target);
     Options.OnlyProgram = Target;
+  }
 
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   ThreadPool Pool(Options.Jobs);
   std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
-  if (All.empty()) {
-    std::fprintf(stderr, "error: unknown program '%s'\n", Target.c_str());
-    return 1;
-  }
 
   std::unique_ptr<TraceEventWriter> TraceWriter = makeTraceWriter(Options);
   JsonReport Report("audit", Options);
@@ -239,16 +237,14 @@ int runAudit(const CommandLine &Cl, const std::string &Target) {
 /// program order, so output is bit-identical at any --jobs.
 int runDrift(const CommandLine &Cl, const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
-  if (Target != "all")
+  if (Target != "all") {
+    requireProgram(Target, Target);
     Options.OnlyProgram = Target;
+  }
 
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   ThreadPool Pool(Options.Jobs);
   std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
-  if (All.empty()) {
-    std::fprintf(stderr, "error: unknown program '%s'\n", Target.c_str());
-    return 1;
-  }
 
   std::unique_ptr<TraceEventWriter> TraceWriter = makeTraceWriter(Options);
   JsonReport Report("drift", Options);
@@ -353,8 +349,10 @@ int runDrift(const CommandLine &Cl, const std::string &Target) {
 /// applied re-routes bought against the static database.
 int runRetrain(const CommandLine &Cl, const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
-  if (Target != "all")
+  if (Target != "all") {
+    requireProgram(Target, Target);
     Options.OnlyProgram = Target;
+  }
   long WindowArg = Cl.getInt("window", 0);
   long LimitArg = Cl.getInt("limit", 20);
   size_t Limit = LimitArg > 0 ? static_cast<size_t>(LimitArg) : SIZE_MAX;
@@ -362,10 +360,6 @@ int runRetrain(const CommandLine &Cl, const std::string &Target) {
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   ThreadPool Pool(Options.Jobs);
   std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
-  if (All.empty()) {
-    std::fprintf(stderr, "error: unknown program '%s'\n", Target.c_str());
-    return 1;
-  }
 
   std::unique_ptr<TraceEventWriter> TraceWriter = makeTraceWriter(Options);
   JsonReport Report("retrain", Options);
@@ -689,35 +683,30 @@ int main(int Argc, char **Argv) {
   if (Command == "generate") {
     if (Args.size() != 3)
       return usage();
-    for (ProgramModel &Model : allPrograms()) {
-      if (Model.Name != Args[1])
-        continue;
-      RunOptions Run;
-      Run.Scale = Cl.getDouble("scale", 0.1);
-      Run.Kind = Cl.has("test") ? RunKind::Test : RunKind::Train;
-      Run.Seed = static_cast<uint64_t>(Cl.getInt("seed", 0x1993));
-      FunctionRegistry Registry;
-      AllocationTrace Trace = runWorkload(Model, Run, Registry);
-      std::ofstream Out(Args[2], Cl.has("binary")
-                                     ? std::ios::binary | std::ios::out
-                                     : std::ios::out);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n", Args[2].c_str());
-        return 1;
-      }
-      if (Cl.has("binary"))
-        writeTraceBinary(Trace, Out);
-      else
-        writeTrace(Trace, Out);
-      std::printf("wrote %zu allocation events (%llu bytes allocated) to "
-                  "%s\n",
-                  Trace.size(),
-                  static_cast<unsigned long long>(Trace.totalBytes()),
-                  Args[2].c_str());
-      return 0;
+    ProgramModel Model = requireProgram(Args[1], Args[1]);
+    RunOptions Run;
+    Run.Scale = Cl.getDouble("scale", 0.1);
+    Run.Kind = Cl.has("test") ? RunKind::Test : RunKind::Train;
+    Run.Seed = static_cast<uint64_t>(Cl.getInt("seed", 0x1993));
+    FunctionRegistry Registry;
+    AllocationTrace Trace = runWorkload(Model, Run, Registry);
+    std::ofstream Out(Args[2], Cl.has("binary")
+                                   ? std::ios::binary | std::ios::out
+                                   : std::ios::out);
+    if (!Out) {
+      std::fprintf(stderr, "error: cannot write %s\n", Args[2].c_str());
+      return 1;
     }
-    std::fprintf(stderr, "error: unknown program '%s'\n", Args[1].c_str());
-    return 1;
+    if (Cl.has("binary"))
+      writeTraceBinary(Trace, Out);
+    else
+      writeTrace(Trace, Out);
+    std::printf("wrote %zu allocation events (%llu bytes allocated) to "
+                "%s\n",
+                Trace.size(),
+                static_cast<unsigned long long>(Trace.totalBytes()),
+                Args[2].c_str());
+    return 0;
   }
 
   if (Command == "compile") {

@@ -20,12 +20,28 @@ OnlinePredictor::OnlinePredictor(const OnlinePredictorConfig &Config)
 }
 
 OnlinePredictor::SiteState &OnlinePredictor::state(SiteKey Site) {
-  SiteState &S = Sites[Site];
-  if (!S.Init) {
-    S.Init = true;
-    S.Route = Cfg.WarmStart != nullptr && Cfg.WarmStart->contains(Site);
-    S.HomeRoute = S.Route;
+  uint32_t Slot = AllOnesSlot;
+  if (Site != FlatAddressMap::EmptyKey) {
+    const uint32_t *Found = Slots.find(Site);
+    Slot = Found ? *Found : NoSlot;
   }
+  return Slot == NoSlot ? addSite(Site) : States[Slot];
+}
+
+OnlinePredictor::SiteState &OnlinePredictor::addSite(SiteKey Site) {
+  uint32_t Slot = static_cast<uint32_t>(States.size());
+  SiteState &S = States.emplace_back();
+  S.Key = Site;
+  S.Route = Cfg.WarmStart != nullptr && Cfg.WarmStart->contains(Site);
+  S.HomeRoute = S.Route;
+  if (Site == FlatAddressMap::EmptyKey)
+    AllOnesSlot = Slot;
+  else
+    Slots.insert(Site, Slot);
+  auto At = std::upper_bound(
+      KeyOrder.begin(), KeyOrder.end(), Site,
+      [this](SiteKey Key, uint32_t I) { return Key < States[I].Key; });
+  KeyOrder.insert(At, Slot);
   return S;
 }
 
@@ -66,9 +82,10 @@ void OnlinePredictor::closeWindow(uint64_t BoundaryClock) {
     return;
   WindowDeaths = 0;
   bool Flipped = false;
-  // std::map iteration is key-sorted, so the decision order — and with it
-  // the retrain log — is a pure function of the event stream.
-  for (auto &[Key, S] : Sites) {
+  // Key order, so the decision order — and with it the retrain log — is a
+  // pure function of the event stream, not of first-sight order.
+  for (uint32_t Slot : KeyOrder) {
+    SiteState &S = States[Slot];
     uint64_t WindowTotal = S.WinShort + S.WinLong;
     if (WindowTotal == 0)
       continue;
@@ -106,7 +123,7 @@ void OnlinePredictor::closeWindow(uint64_t BoundaryClock) {
           RetrainEvent Event;
           Event.Window = WindowIndex;
           Event.Clock = BoundaryClock;
-          Event.Site = Key;
+          Event.Site = S.Key;
           Event.OldRoute = S.Route;
           Event.NewRoute = NewRoute;
           Event.WindowShortDeaths = S.WinShort;
@@ -134,10 +151,11 @@ void OnlinePredictor::closeWindow(uint64_t BoundaryClock) {
 
 std::vector<OnlineSiteSnapshot> OnlinePredictor::snapshot() const {
   std::vector<OnlineSiteSnapshot> Out;
-  Out.reserve(Sites.size());
-  for (const auto &[Key, S] : Sites) {
+  Out.reserve(States.size());
+  for (uint32_t Slot : KeyOrder) {
+    const SiteState &S = States[Slot];
     OnlineSiteSnapshot Snap;
-    Snap.Site = Key;
+    Snap.Site = S.Key;
     Snap.Route = S.Route;
     Snap.RouteFlips = S.RouteFlips;
     Snap.ShortDeaths = S.ShortDeaths;

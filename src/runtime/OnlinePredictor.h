@@ -24,7 +24,7 @@
 /// Determinism contract: the model is a pure function of the sequence of
 /// routeShort / observeDeath / advanceClock calls.  All state is integer
 /// (ppm accumulators, log2 lifetime histograms — no floating point), site
-/// iteration at window close is key-sorted, and retrain decisions happen
+/// iteration at window close is in key order, and retrain decisions happen
 /// only at window boundaries.  Feeding the model the replay event stream
 /// — which is itself bit-identical between the oracle and compiled paths —
 /// therefore yields bit-identical routes, retrain logs, and epochs on
@@ -47,10 +47,10 @@
 #include "callchain/SiteKey.h"
 #include "core/SiteDatabase.h"
 #include "core/Trainer.h"
+#include "support/FlatAddressMap.h"
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace lifepred {
@@ -189,7 +189,7 @@ public:
   const std::vector<RetrainEvent> &retrains() const { return Retrains; }
 
   /// Distinct sites seen (routed or observed).
-  uint64_t siteCount() const { return Sites.size(); }
+  uint64_t siteCount() const { return States.size(); }
 
   /// Total deaths observed.
   uint64_t deathCount() const { return Deaths; }
@@ -199,7 +199,7 @@ public:
 
 private:
   struct SiteState {
-    bool Init = false;
+    SiteKey Key = 0;
     bool Route = false;
     bool HomeRoute = false; ///< The warm-start verdict (backoff anchor).
     uint32_t AwayFlips = 0; ///< Flips away from home, drives the backoff.
@@ -218,7 +218,10 @@ private:
     std::array<uint32_t, 65> Hist = {};
   };
 
+  static constexpr uint32_t NoSlot = ~uint32_t(0);
+
   SiteState &state(SiteKey Site);
+  SiteState &addSite(SiteKey Site);
   void closeWindow(uint64_t BoundaryClock);
 
   OnlinePredictorConfig Cfg;
@@ -228,7 +231,16 @@ private:
   uint64_t WindowDeaths = 0; ///< Deaths in the open window (skip gate).
   uint64_t Deaths = 0;
   uint32_t Epoch = 0;
-  std::map<SiteKey, SiteState> Sites; ///< Key-sorted: deterministic close.
+  /// Per-site state, in first-sight order.
+  std::vector<SiteState> States;
+  /// Site key -> slot in States.  ~0 is the map's empty marker, so that
+  /// one key's slot lives in AllOnesSlot instead.
+  FlatAddressMap Slots;
+  uint32_t AllOnesSlot = NoSlot;
+  /// Slots of States in ascending key order (each new site is inserted at
+  /// its upper_bound): window close and snapshots walk sites key-sorted,
+  /// with no sort, so the retrain log is a pure function of the events.
+  std::vector<uint32_t> KeyOrder;
   std::vector<RetrainEvent> Retrains;
 };
 

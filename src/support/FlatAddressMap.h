@@ -18,8 +18,9 @@
 /// never shrinks.
 ///
 /// Address 0 is a legal key; the empty marker is ~0, which no simulated
-/// heap hands out.  forEach() visits entries in slot order, which is
-/// neither address nor insertion order.
+/// heap hands out.  A user whose keys can be ~0 (the online predictor's
+/// site-key hashes) keeps that one key beside the map.  forEach() visits
+/// entries in slot order, which is neither address nor insertion order.
 ///
 //===----------------------------------------------------------------------===//
 

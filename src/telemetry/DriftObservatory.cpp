@@ -141,22 +141,34 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
     }
   }
 
+  constexpr unsigned SiteShift = DriftObservatory::SiteShift;
+  constexpr unsigned WindowShift = DriftObservatory::WindowShift;
+  // Site ids are chain indices, dense from 0, so a seen-bitmap counts the
+  // distinct sites in one pass over the log, with no copy and no sort.
+  std::vector<uint64_t> SeenSites;
+  for (uint64_t Entry : Obs.lifetimeLog()) {
+    uint64_t Site = Entry >> SiteShift;
+    if (Site / 64 >= SeenSites.size())
+      SeenSites.resize(Site / 64 + 1);
+    SeenSites[Site / 64] |= uint64_t(1) << (Site % 64);
+  }
+  for (uint64_t Word : SeenSites)
+    R.SiteCount += std::popcount(Word);
+  if (!Trained)
+    return R;
+
   // Sorted, the lifetime log is one run of entries per (site, window),
   // site-major, each run ordered by lifetime bucket.
   std::vector<uint64_t> Log = Obs.lifetimeLog();
   std::sort(Log.begin(), Log.end());
-  constexpr unsigned SiteShift = DriftObservatory::SiteShift;
-  constexpr unsigned WindowShift = DriftObservatory::WindowShift;
   std::vector<DriftSiteScore> Scored;
   for (size_t Begin = 0, End = 0; Begin < Log.size(); Begin = End) {
     uint64_t SiteWindow = Log[Begin] >> WindowShift;
     while (End < Log.size() && Log[End] >> WindowShift == SiteWindow)
       ++End;
-    uint32_t Site = static_cast<uint32_t>(Log[Begin] >> SiteShift);
-    if (Begin == 0 || Log[Begin - 1] >> SiteShift != Site)
-      ++R.SiteCount;
-    if (!Trained || End - Begin < Options.MinSiteWindowObjects)
+    if (End - Begin < Options.MinSiteWindowObjects)
       continue;
+    uint32_t Site = static_cast<uint32_t>(Log[Begin] >> SiteShift);
     auto It = Trained->find(Site);
     if (It == Trained->end())
       continue;

@@ -152,6 +152,8 @@ struct DriftWindowRow {
   /// -1 when the window saw no allocations.
   int64_t AccuracyPpm = -1;
   bool ChangePoint = false;
+
+  bool operator==(const DriftWindowRow &Other) const = default;
 };
 
 /// One scored (site, window) divergence.

@@ -294,6 +294,57 @@ TEST(DriftObservatoryTest, SiteWindowRunsScoredAtTheObjectFloor) {
   EXPECT_DOUBLE_EQ(lifetimeDriftScore(0, 16, 1000, MedianOnly), 0.0);
 }
 
+TEST(DriftObservatoryTest, UntrainedReportCountsSitesLikeTheTrainedOne) {
+  DriftConfig C;
+  C.EndClock = 1000;
+  C.WindowBytes = 100;
+  C.Threshold = 50;
+  DriftObservatory Empty(C);
+  EXPECT_EQ(buildDriftReport(Empty, nullptr, "empty").SiteCount, 0u);
+
+  // Sparse site ids, each first seen out of order and seen again later:
+  // the count is of distinct sites, not of log entries or of the largest
+  // id.
+  DriftObservatory Obs(C);
+  for (int I = 0; I < 4; ++I) {
+    Obs.recordAlloc(10 + I, 70000, 16, true, 800, false);
+    Obs.recordAlloc(20 + I, 5, 16, true, 10, true);
+    Obs.recordAlloc(230 + I, 0, 32, false, 600, false);
+  }
+  Obs.recordAlloc(450, 5, 16, false, 20, true);
+
+  TrainedQuantileMap Trained;
+  TrainedSiteQuantiles Q;
+  Q.Objects = 100;
+  Q.Q25 = 8;
+  Q.Q50 = 10;
+  Q.Q75 = 12;
+  Trained.emplace(0, Q);
+  Trained.emplace(5, Q);
+  Trained.emplace(70000, Q);
+
+  DriftReport Untrained = buildDriftReport(Obs, nullptr, "sites");
+  DriftReport Scored = buildDriftReport(Obs, &Trained, "sites");
+  EXPECT_EQ(Untrained.SiteCount, 3u);
+  EXPECT_EQ(Scored.SiteCount, 3u);
+  EXPECT_EQ(Untrained.Windows, Scored.Windows);
+  EXPECT_EQ(Untrained.ChangePointWindows, Scored.ChangePointWindows);
+  EXPECT_EQ(Untrained.TotalObjects, Scored.TotalObjects);
+  EXPECT_EQ(Untrained.TrueShort, Scored.TrueShort);
+  EXPECT_EQ(Untrained.FalseShort, Scored.FalseShort);
+  EXPECT_EQ(Untrained.MissedShort, Scored.MissedShort);
+  EXPECT_EQ(Untrained.TrueLong, Scored.TrueLong);
+  EXPECT_EQ(Untrained.FalseShortBytes, Scored.FalseShortBytes);
+  EXPECT_EQ(Untrained.MissedShortBytes, Scored.MissedShortBytes);
+  EXPECT_EQ(Untrained.PinnedBytes, Scored.PinnedBytes);
+  EXPECT_EQ(Untrained.MeanAccuracyPpm, Scored.MeanAccuracyPpm);
+
+  // Only the trained report scores: one run of four per site.
+  EXPECT_EQ(Untrained.ScoredSiteWindows, 0u);
+  EXPECT_TRUE(Untrained.TopSites.empty());
+  EXPECT_EQ(Scored.ScoredSiteWindows, 3u);
+}
+
 TEST(DriftObservatoryTest, RejectsGeometryBeyondTheWindowField) {
   // 2^26 + 1 one-byte windows exceed the packed log's 2^25 window field;
   // the constructor refuses before allocating the counter rows.

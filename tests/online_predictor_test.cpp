@@ -343,3 +343,70 @@ TEST(OnlineDriftReactionTest, ColdStartLearnsShortSite) {
   // Late records of the churn site route short.
   EXPECT_TRUE(Plan.testShort(Test.size() - 2));
 }
+
+//===----------------------------------------------------------------------===//
+// Site table order
+//===----------------------------------------------------------------------===//
+
+TEST(OnlineSiteOrderTest, WindowCloseAndSnapshotWalkSitesInKeyOrder) {
+  // Cold start: every site routes long, so four short deaths in a window
+  // trip its gate and re-route it short at that window's close; four long
+  // deaths leave it alone.
+  OnlinePredictorConfig Config;
+  Config.WindowBytes = 100;
+  OnlinePredictor Model(Config);
+  const uint64_t Short = 10;
+  const uint64_t Long = Config.Threshold + 1;
+  auto Deaths = [&Model](SiteKey Site, uint64_t Lifetime) {
+    for (int I = 0; I < 4; ++I)
+      Model.observeDeath(Site, Model.routeShort(Site), Lifetime);
+  };
+
+  // Window 0: sites first seen in descending key order, the two extreme
+  // keys tripping together.
+  const SiteKey Max = UINT64_MAX;
+  EXPECT_FALSE(Model.routeShort(Max));
+  EXPECT_FALSE(Model.routeShort(1000));
+  EXPECT_EQ(Model.siteCount(), 2u);
+  Deaths(Max, Short);
+  Deaths(1000, Long);
+  Deaths(7, Long);
+  Deaths(0, Short);
+  EXPECT_EQ(Model.siteCount(), 4u);
+  Model.advanceClock(100);
+
+  // Window 1: a site first seen now lands between two older keys, and
+  // trips together with one of them.  Site 7's eight short deaths
+  // outweigh its four long ones beyond the break-even deadband.
+  Deaths(500, Short);
+  Deaths(7, Short);
+  Deaths(7, Short);
+  EXPECT_EQ(Model.siteCount(), 5u);
+  Model.finish(150);
+
+  const std::vector<RetrainEvent> &Log = Model.retrains();
+  ASSERT_EQ(Log.size(), 4u);
+  EXPECT_EQ(Log[0].Window, 0u);
+  EXPECT_EQ(Log[0].Site, 0u);
+  EXPECT_EQ(Log[1].Window, 0u);
+  EXPECT_EQ(Log[1].Site, Max);
+  EXPECT_EQ(Log[2].Window, 1u);
+  EXPECT_EQ(Log[2].Site, 7u);
+  EXPECT_EQ(Log[3].Window, 1u);
+  EXPECT_EQ(Log[3].Site, 500u);
+  for (const RetrainEvent &Event : Log)
+    EXPECT_TRUE(Event.NewRoute);
+  EXPECT_EQ(Model.epoch(), 2u);
+  EXPECT_EQ(Model.deathCount(), 28u);
+
+  std::vector<OnlineSiteSnapshot> Sites = Model.snapshot();
+  std::vector<SiteKey> Keys;
+  for (const OnlineSiteSnapshot &Site : Sites)
+    Keys.push_back(Site.Site);
+  EXPECT_EQ(Keys, (std::vector<SiteKey>{0, 7, 500, 1000, Max}));
+  EXPECT_TRUE(Sites[0].Route);
+  EXPECT_TRUE(Sites[4].Route);
+  EXPECT_FALSE(Sites[3].Route);
+  EXPECT_EQ(Sites[1].ShortDeaths, 8u);
+  EXPECT_EQ(Sites[1].LongDeaths, 4u);
+}
