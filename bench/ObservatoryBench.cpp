@@ -115,7 +115,7 @@ bool lifepred::runObservatoryPass(const BenchOptions &Options,
   // The multi-arena band geometry of ablation_multi_arena's "2 bands"
   // case, matching bench_sim_throughput's observatory configuration.
   const std::vector<uint64_t> BandThresholds = {16 * 1024, 32 * 1024};
-  MultiArenaAllocator::Config MultiConfig;
+  ArenaAllocator::Config MultiConfig;
   MultiConfig.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
 
   std::vector<StatsRegistry> PerProgram(All.size());

@@ -48,8 +48,7 @@ int main(int Argc, char **Argv) {
     bool First = true;
     for (const Geometry &G : Geometries) {
       ArenaAllocator::Config Cfg;
-      Cfg.AreaBytes = G.AreaKb * 1024;
-      Cfg.ArenaCount = G.Count;
+      Cfg.Bands = {{G.AreaKb * 1024, G.Count}};
       ArenaSimResult R = simulateArena(Test, DB,
                                        Traces.Model.CallsPerAlloc,
                                        CostModel(), Cfg);

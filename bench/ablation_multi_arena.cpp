@@ -44,7 +44,7 @@ int main(int Argc, char **Argv) {
     struct Case {
       const char *Name;
       std::vector<uint64_t> Thresholds;
-      MultiArenaAllocator::Config Config;
+      ArenaAllocator::Config Config;
     };
     std::vector<Case> Cases;
     {

@@ -148,8 +148,8 @@ const char *const AllocatorNames[AllocatorCount] = {
 /// total area as the paper's single band, split.
 const std::vector<uint64_t> MultiArenaThresholds = {16 * 1024, 32 * 1024};
 
-MultiArenaAllocator::Config multiArenaConfig() {
-  MultiArenaAllocator::Config Config;
+ArenaAllocator::Config multiArenaConfig() {
+  ArenaAllocator::Config Config;
   Config.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
   return Config;
 }

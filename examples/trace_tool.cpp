@@ -554,7 +554,7 @@ int runHeatmap(const CommandLine &Cl, const std::string &Source) {
   } else if (Family == "multiarena") {
     ClassDatabase DB = trainClassDatabase(profileTrace(*Trace, Policy),
                                           Policy, {16 * 1024, 32 * 1024});
-    simulateMultiArena(Test, DB, MultiArenaAllocator::Config(), &Telemetry);
+    simulateMultiArena(Test, DB, ArenaAllocator::Config(), &Telemetry);
   } else {
     std::fprintf(stderr,
                  "error: unknown family '%s' (expected firstfit, bsd, "

@@ -394,7 +394,8 @@ public:
   uint64_t allocate(unsigned Shard, uint32_t Size, bool PredictedShort,
                     uint64_t & /*CasRetries*/) {
     if constexpr (IsArena)
-      return Shards[Shard]->allocate(Size, PredictedShort);
+      return Shards[Shard]->allocate(
+          Size, PredictedShort ? 0 : ArenaAllocator::GeneralBand);
     else
       return Shards[Shard]->allocate(Size);
   }

@@ -147,7 +147,8 @@ std::pair<SinkT, SinkT> runBothStreams(const AllocationTrace &Trace,
     LocalityConsumer<SinkT> Consumer(
         ArenaSink, Trace.size(), MaxRefs, &Arena,
         [](void *A, uint32_t Size, bool IsShort) {
-          return static_cast<ArenaAllocator *>(A)->allocate(Size, IsShort);
+          return static_cast<ArenaAllocator *>(A)->allocate(
+              Size, IsShort ? 0 : ArenaAllocator::GeneralBand);
         },
         [](void *A, uint64_t Addr) {
           static_cast<ArenaAllocator *>(A)->free(Addr);

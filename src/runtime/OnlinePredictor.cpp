@@ -38,16 +38,14 @@ OnlinePredictor::SiteState &OnlinePredictor::addSite(SiteKey Site) {
     AllOnesSlot = Slot;
   else
     Slots.insert(Site, Slot);
-  auto At = std::upper_bound(
-      KeyOrder.begin(), KeyOrder.end(), Site,
-      [this](SiteKey Key, uint32_t I) { return Key < States[I].Key; });
-  KeyOrder.insert(At, Slot);
   return S;
 }
 
 void OnlinePredictor::observeDeath(SiteKey Site, bool RoutedShort,
                                    uint64_t Lifetime) {
   SiteState &S = state(Site);
+  if (S.WinShort + S.WinLong == 0)
+    ActiveSites.emplace_back(Site, static_cast<uint32_t>(&S - States.data()));
   bool Short = Lifetime <= Cfg.Threshold;
   if (Short)
     ++S.WinShort;
@@ -58,7 +56,6 @@ void OnlinePredictor::observeDeath(SiteKey Site, bool RoutedShort,
   ++(Short ? S.ShortDeaths : S.LongDeaths);
   ++(Short ? S.DbShort : S.DbLong);
   ++S.Hist[std::bit_width(Lifetime)];
-  ++WindowDeaths;
   ++Deaths;
 }
 
@@ -73,22 +70,20 @@ void OnlinePredictor::advanceClock(uint64_t Clock) {
 void OnlinePredictor::finish(uint64_t EndClock) {
   advanceClock(EndClock);
   // The final partial window, so tail-of-run evidence reaches the log.
-  if (WindowDeaths != 0)
+  if (!ActiveSites.empty())
     closeWindow(EndClock);
 }
 
 void OnlinePredictor::closeWindow(uint64_t BoundaryClock) {
-  if (WindowDeaths == 0)
+  if (ActiveSites.empty())
     return;
-  WindowDeaths = 0;
   bool Flipped = false;
   // Key order, so the decision order — and with it the retrain log — is a
   // pure function of the event stream, not of first-sight order.
-  for (uint32_t Slot : KeyOrder) {
-    SiteState &S = States[Slot];
+  std::sort(ActiveSites.begin(), ActiveSites.end());
+  for (const auto &Active : ActiveSites) {
+    SiteState &S = States[Active.second];
     uint64_t WindowTotal = S.WinShort + S.WinLong;
-    if (WindowTotal == 0)
-      continue;
     if (WindowTotal >= Cfg.MinWindowDeaths) {
       int64_t MisPpm = static_cast<int64_t>(S.WinMis * 1000000 / WindowTotal);
       // Benefit margin: positive only when the *opposite* route would
@@ -145,15 +140,24 @@ void OnlinePredictor::closeWindow(uint64_t BoundaryClock) {
     S.WinLong = 0;
     S.WinMis = 0;
   }
+  ActiveSites.clear();
   if (Flipped)
     ++Epoch;
 }
 
 std::vector<OnlineSiteSnapshot> OnlinePredictor::snapshot() const {
+  std::vector<const SiteState *> ByKey;
+  ByKey.reserve(States.size());
+  for (const SiteState &S : States)
+    ByKey.push_back(&S);
+  std::sort(ByKey.begin(), ByKey.end(),
+            [](const SiteState *A, const SiteState *B) {
+              return A->Key < B->Key;
+            });
   std::vector<OnlineSiteSnapshot> Out;
   Out.reserve(States.size());
-  for (uint32_t Slot : KeyOrder) {
-    const SiteState &S = States[Slot];
+  for (const SiteState *Site : ByKey) {
+    const SiteState &S = *Site;
     OnlineSiteSnapshot Snap;
     Snap.Site = S.Key;
     Snap.Route = S.Route;

@@ -51,6 +51,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace lifepred {
@@ -228,7 +229,6 @@ private:
   uint64_t Width = DefaultWindowBytes;
   uint64_t NextBoundary = 0;
   uint64_t WindowIndex = 0;
-  uint64_t WindowDeaths = 0; ///< Deaths in the open window (skip gate).
   uint64_t Deaths = 0;
   uint32_t Epoch = 0;
   /// Per-site state, in first-sight order.
@@ -237,10 +237,12 @@ private:
   /// one key's slot lives in AllOnesSlot instead.
   FlatAddressMap Slots;
   uint32_t AllOnesSlot = NoSlot;
-  /// Slots of States in ascending key order (each new site is inserted at
-  /// its upper_bound): window close and snapshots walk sites key-sorted,
-  /// with no sort, so the retrain log is a pure function of the events.
-  std::vector<uint32_t> KeyOrder;
+  /// (key, slot) of the sites with deaths in the open window, in
+  /// first-death order.  Window close sorts them by key and visits only
+  /// them — idle sites have nothing to decide — so the retrain log is a
+  /// pure function of the events and the cost follows the window's active
+  /// sites.
+  std::vector<std::pair<SiteKey, uint32_t>> ActiveSites;
   std::vector<RetrainEvent> Retrains;
 };
 

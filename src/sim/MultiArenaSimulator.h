@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Trace-driven simulation of the multi-band arena allocator with a
-/// trained ClassDatabase deciding each allocation's lifetime band: the
-/// multi-arena row of the entry-point table in sim/TraceSimulator.h.  Band
-/// verdicts are pre-resolved per record, so the replay performs no
-/// classifier probes.
+/// Trace-driven simulation of the banded arena allocator with a trained
+/// ClassDatabase deciding each allocation's lifetime band: the multi-arena
+/// row of the entry-point table in sim/TraceSimulator.h, defined in
+/// sim/TraceSimulator.cpp on the same replay consumer as simulateArena.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIFEPRED_SIM_MULTIARENASIMULATOR_H
 #define LIFEPRED_SIM_MULTIARENASIMULATOR_H
 
-#include "alloc/MultiArenaAllocator.h"
+#include "alloc/ArenaAllocator.h"
 #include "core/LifetimeClassifier.h"
 #include "trace/CompiledTrace.h"
 
@@ -26,11 +25,16 @@ namespace lifepred {
 
 struct SimTelemetry;
 
+/// ArenaAllocator carries the bands.  This name stays because the
+/// repository benchmark's pipeline harness (perfbench/harness/Pipeline.cpp)
+/// spells the banded allocator's Config and BandCounters through it.
+using MultiArenaAllocator = ArenaAllocator;
+
 /// Results of a banded-arena simulation.
 struct MultiArenaSimResult {
   uint64_t MaxHeapBytes = 0;
   uint64_t MaxLiveBytes = 0;
-  std::vector<MultiArenaAllocator::BandCounters> PerBand;
+  std::vector<ArenaAllocator::BandCounters> PerBand;
   uint64_t GeneralAllocs = 0;
   uint64_t GeneralBytes = 0;
   FirstFitAllocator::Counters General;
@@ -56,8 +60,7 @@ struct MultiArenaSimResult {
 /// any band's threshold would have covered it.
 MultiArenaSimResult
 simulateMultiArena(const CompiledTrace &Compiled, const ClassDatabase &DB,
-                   MultiArenaAllocator::Config Config =
-                       MultiArenaAllocator::Config(),
+                   ArenaAllocator::Config Config = ArenaAllocator::Config(),
                    SimTelemetry *Telemetry = nullptr);
 
 } // namespace lifepred

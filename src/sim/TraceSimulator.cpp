@@ -18,6 +18,7 @@
 #include "sim/TraceSimulator.h"
 
 #include "core/Profiler.h"
+#include "sim/MultiArenaSimulator.h"
 #include "sim/CompiledPrediction.h"
 #include "sim/SimTelemetry.h"
 #include "sim/StreamReplay.h"
@@ -130,26 +131,86 @@ BaselineSimResult bsdOver(const SourceT &Source, const CostModel &Costs,
   return Result;
 }
 
-/// Arena replay: the predicted-short verdict is one bit load, the
-/// allocate/free calls are non-virtual.  Templated over the bits provider
-/// so the static lane (PredictedShortBits) and the online dynamic-override
-/// lane (DynamicRouteBits) replay through the identical code path.  The
+static_assert(ArenaAllocator::GeneralBand == UnclassifiedLifetime,
+              "an unclassified site is placed in the general heap");
+
+/// How one allocation is scored against its trace lifetime: whether it was
+/// predicted into an arena band, whether it actually died within the
+/// threshold it is judged against, and that threshold (the flight
+/// recorder's per-object class threshold).
+struct ArenaVerdict {
+  bool Predicted;
+  bool ActuallyShort;
+  uint64_t Threshold;
+};
+
+/// Router over a per-record bit table, static (PredictedShortBits) or
+/// online (DynamicRouteBits): band 0 when the bit is set, the general heap
+/// otherwise, every record judged against the database's one threshold.
+template <typename BitsT> class BitRouter {
+public:
+  BitRouter(const BitsT &Bits, uint64_t Threshold)
+      : Bits(Bits), Threshold(Threshold) {}
+
+  LifetimeClass band(uint32_t Id) const {
+    return Bits.test(Id) ? 0 : ArenaAllocator::GeneralBand;
+  }
+
+  ArenaVerdict judge(LifetimeClass Band, uint64_t Lifetime) const {
+    // NeverFreed is the maximal lifetime, so never-freed objects always
+    // classify as actually long-lived.
+    return {Band != ArenaAllocator::GeneralBand, Lifetime <= Threshold,
+            Threshold};
+  }
+
+private:
+  const BitsT &Bits;
+  uint64_t Threshold;
+};
+
+/// Router over a ClassDatabase's per-record bands: a banded record is
+/// judged against its band's threshold, an unclassified one against the
+/// widest band's, so it is a missed short when any band would have covered
+/// it.  With no thresholds nothing is short.
+class ClassRouter {
+public:
+  ClassRouter(const std::vector<LifetimeClass> &Bands,
+              const std::vector<uint64_t> &Thresholds)
+      : Bands(Bands.data()), Thresholds(Thresholds) {}
+
+  LifetimeClass band(uint32_t Id) const { return Bands[Id]; }
+
+  ArenaVerdict judge(LifetimeClass Band, uint64_t Lifetime) const {
+    if (Band < Thresholds.size())
+      return {true, Lifetime <= Thresholds[Band], Thresholds[Band]};
+    if (Thresholds.empty())
+      return {false, false, 0};
+    return {false, Lifetime <= Thresholds.back(), Thresholds.back()};
+  }
+
+private:
+  const LifetimeClass *Bands;
+  const std::vector<uint64_t> &Thresholds;
+};
+
+/// Arena replay: the band verdict is one table load, the allocate/free
+/// calls are non-virtual.  Templated over the router so the static, online
+/// and class-band lanes replay through the identical code path.  The
 /// observed instantiation adds prediction outcomes, timeline, recorder.
-template <typename BitsT, bool Observed>
+template <typename RouterT, bool Observed>
 class ArenaConsumer
-    : public ScheduleConsumer<ArenaConsumer<BitsT, Observed>> {
+    : public ScheduleConsumer<ArenaConsumer<RouterT, Observed>> {
 public:
   ArenaConsumer(ArenaAllocator &Allocator, const AllocationTrace &Trace,
-                const SiteDatabase &DB, const BitsT &Predicted,
-                SimTelemetry *Telemetry)
-      : Allocator(Allocator), Records(Trace.records().data()), DB(DB),
-        Predicted(Predicted), Telemetry(Telemetry),
+                const RouterT &Router, SimTelemetry *Telemetry)
+      : Allocator(Allocator), Records(Trace.records().data()),
+        Router(Router), Telemetry(Telemetry),
         Recorder(Telemetry ? Telemetry->Recorder : nullptr),
         Latency(Telemetry ? Telemetry->Latency : nullptr),
         Addresses(Trace.size()) {}
 
   void onAlloc(uint32_t Id, uint32_t Size, uint64_t Clock) {
-    bool PredictedShort = Predicted.test(Id);
+    LifetimeClass Band = Router.band(Id);
     if constexpr (Observed) {
       if (Recorder)
         // Pin/reset callbacks fire from inside allocate(); give them the
@@ -157,11 +218,11 @@ public:
         Recorder->beginEvent(Clock);
     }
     Addresses[Id] = timedAllocatorOp(latency(), LatencyRecorder::OpAlloc, [&] {
-      return Allocator.allocate(Size, PredictedShort);
+      return Allocator.allocate(Size, Band);
     });
     raisePeak(MaxLive, Allocator.liveBytes());
     if constexpr (Observed)
-      observeAlloc(Id, Clock, PredictedShort);
+      observeAlloc(Id, Clock, Band);
   }
 
   void onFree(uint32_t Id, uint64_t Clock) {
@@ -184,35 +245,37 @@ public:
   uint64_t maxLiveBytes() const { return MaxLive; }
 
 private:
+  /// The latency sink; a compile-time null when unobserved, so the timing
+  /// folds away.
   LatencyRecorder *latency() const { return Observed ? Latency : nullptr; }
 
-  void observeAlloc(uint32_t Id, uint64_t Clock, bool PredictedShort) {
+  void observeAlloc(uint32_t Id, uint64_t Clock, LifetimeClass Band) {
     const AllocRecord &Record = Records[Id];
-    // NeverFreed is the maximal lifetime, so never-freed objects always
-    // classify as actually long-lived.
-    bool ActuallyShort = Record.Lifetime <= DB.threshold();
-    Telemetry->Outcomes.add(PredictedShort, ActuallyShort);
+    ArenaVerdict Verdict = Router.judge(Band, Record.Lifetime);
+    Telemetry->Outcomes.add(Verdict.Predicted, Verdict.ActuallyShort);
     if (Telemetry->Drift)
       Telemetry->Drift->recordAlloc(Clock, Record.ChainIndex, Record.Size,
-                                    PredictedShort, Record.Lifetime,
-                                    ActuallyShort);
+                                    Verdict.Predicted, Record.Lifetime,
+                                    Verdict.ActuallyShort);
     observeSample(Telemetry, Clock, Allocator, Allocator.arenaLiveBytes());
     if (Recorder) {
       AuditPlacement Placement;
       uint64_t Addr = Addresses[Id];
-      if (Allocator.isArenaAddress(Addr)) {
-        Placement.ArenaIndex = Allocator.arenaIndexFor(Addr);
-        Placement.Generation = Allocator.arenaGeneration(Placement.ArenaIndex);
+      LifetimeClass PlacedBand = Allocator.bandForAddress(Addr);
+      if (PlacedBand != ArenaAllocator::GeneralBand) {
+        Placement.Band = PlacedBand;
+        Placement.ArenaIndex = Allocator.arenaIndexFor(PlacedBand, Addr);
+        Placement.Generation =
+            Allocator.arenaGeneration(PlacedBand, Placement.ArenaIndex);
       }
       Recorder->recordAlloc(Id, Clock, Record.ChainIndex, Record.Size,
-                            PredictedShort, DB.threshold(), Placement);
+                            Verdict.Predicted, Verdict.Threshold, Placement);
     }
   }
 
   ArenaAllocator &Allocator;
   const AllocRecord *Records;
-  const SiteDatabase &DB;
-  const BitsT &Predicted;
+  const RouterT &Router;
   SimTelemetry *Telemetry;
   FlightRecorder *Recorder;
   LatencyRecorder *Latency;
@@ -220,48 +283,61 @@ private:
   uint64_t MaxLive = 0;
 };
 
-/// Shared arena replay body: identical allocator calls for either bits
-/// provider, so the static and online lanes differ only in the verdict
-/// each record carries.
-template <typename BitsT>
-ArenaSimResult simulateArenaWith(const CompiledTrace &Compiled,
-                                 const SiteDatabase &DB,
-                                 const BitsT &Predicted, double CallsPerAlloc,
-                                 const CostModel &Costs,
-                                 ArenaAllocator::Config Config,
-                                 SimTelemetry *Telemetry) {
-  ArenaAllocator Allocator(Config);
+/// Shared arena replay body: identical allocator calls for every router,
+/// so the lanes differ only in the band each record carries.  Registers
+/// under \p Prefix with \p Keys counters; returns the live-byte peak.
+template <typename RouterT>
+uint64_t simulateArenaWith(const CompiledTrace &Compiled,
+                           const RouterT &Router, ArenaAllocator &Allocator,
+                           SimTelemetry *Telemetry, const std::string &Prefix,
+                           ArenaAllocator::CounterKeys Keys) {
   if (Telemetry && Telemetry->Registry)
-    Allocator.attachTelemetry(*Telemetry->Registry, "arena.");
+    Allocator.attachTelemetry(*Telemetry->Registry, Prefix);
   if (Telemetry && Telemetry->Recorder) {
-    Telemetry->Recorder->setArenaGeometry(AuditPlacement::DefaultBand,
-                                          Allocator.arenaBytes());
+    for (size_t Band = 0; Band < Allocator.bands(); ++Band)
+      Telemetry->Recorder->setArenaGeometry(
+          static_cast<LifetimeClass>(Band),
+          Allocator.arenaBytes(static_cast<LifetimeClass>(Band)));
     Allocator.attachLifecycle(Telemetry->Recorder);
   }
   const AllocationTrace &Trace = Compiled.trace();
   uint64_t MaxLive = 0;
   if (Telemetry) {
-    ArenaConsumer<BitsT, true> Consumer(Allocator, Trace, DB, Predicted,
-                                        Telemetry);
+    ArenaConsumer<RouterT, true> Consumer(Allocator, Trace, Router,
+                                          Telemetry);
     forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   } else {
-    ArenaConsumer<BitsT, false> Consumer(Allocator, Trace, DB, Predicted,
-                                         nullptr);
+    ArenaConsumer<RouterT, false> Consumer(Allocator, Trace, Router,
+                                           nullptr);
     forEachEvent(Compiled, Consumer);
     MaxLive = Consumer.maxLiveBytes();
   }
   if (Telemetry && Telemetry->Registry) {
-    Allocator.exportTelemetry(*Telemetry->Registry, "arena.");
-    Telemetry->Outcomes.exportTelemetry(*Telemetry->Registry, "arena.pred.");
-    raisePeak(Telemetry->Registry->gauge("arena.pred.sites"),
+    Allocator.exportTelemetry(*Telemetry->Registry, Prefix, Keys);
+    Telemetry->Outcomes.exportTelemetry(*Telemetry->Registry,
+                                        Prefix + "pred.");
+    raisePeak(Telemetry->Registry->gauge(Prefix + "pred.sites"),
               distinctSiteCount(Trace));
-    exportObservatory(Telemetry, "arena.");
+    exportObservatory(Telemetry, Prefix);
   }
+  return MaxLive;
+}
 
+/// The binary-prediction lanes: one bit per record, the paper's counters.
+template <typename BitsT>
+ArenaSimResult simulateArenaBits(const CompiledTrace &Compiled,
+                                 const SiteDatabase &DB,
+                                 const BitsT &Predicted, double CallsPerAlloc,
+                                 const CostModel &Costs,
+                                 ArenaAllocator::Config Config,
+                                 SimTelemetry *Telemetry) {
+  ArenaAllocator Allocator(std::move(Config));
   ArenaSimResult Result;
+  Result.MaxLiveBytes = simulateArenaWith(
+      Compiled, BitRouter<BitsT>(Predicted, DB.threshold()), Allocator,
+      Telemetry, "arena.", ArenaAllocator::CounterKeys::Flat);
   Result.MaxHeapBytes = Allocator.maxHeapBytes();
-  Result.MaxLiveBytes = MaxLive;
   Result.Arena = Allocator.counters();
   Result.General = Allocator.general().counters();
   Result.InstrLen4 = Costs.arena(Result.Arena, Result.General,
@@ -308,8 +384,8 @@ ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,
                                        ArenaAllocator::Config Config,
                                        SimTelemetry *Telemetry) {
   PredictedShortBits Predicted(Compiled, DB);
-  return simulateArenaWith(Compiled, DB, Predicted, CallsPerAlloc, Costs,
-                           Config, Telemetry);
+  return simulateArenaBits(Compiled, DB, Predicted, CallsPerAlloc, Costs,
+                           std::move(Config), Telemetry);
 }
 
 ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,
@@ -319,8 +395,28 @@ ArenaSimResult lifepred::simulateArena(const CompiledTrace &Compiled,
                                        const CostModel &Costs,
                                        ArenaAllocator::Config Config,
                                        SimTelemetry *Telemetry) {
-  return simulateArenaWith(Compiled, DB, Routes, CallsPerAlloc, Costs,
-                           Config, Telemetry);
+  return simulateArenaBits(Compiled, DB, Routes, CallsPerAlloc, Costs,
+                           std::move(Config), Telemetry);
+}
+
+MultiArenaSimResult lifepred::simulateMultiArena(const CompiledTrace &Compiled,
+                                                 const ClassDatabase &DB,
+                                                 ArenaAllocator::Config Config,
+                                                 SimTelemetry *Telemetry) {
+  ArenaAllocator Allocator(std::move(Config));
+  const std::vector<LifetimeClass> Bands = compileBands(Compiled, DB);
+  MultiArenaSimResult Result;
+  Result.MaxLiveBytes = simulateArenaWith(
+      Compiled, ClassRouter(Bands, DB.thresholds()), Allocator, Telemetry,
+      "multiarena.", ArenaAllocator::CounterKeys::PerBand);
+  Result.MaxHeapBytes = Allocator.maxHeapBytes();
+  for (size_t Band = 0; Band < Allocator.bands(); ++Band)
+    Result.PerBand.push_back(Allocator.bandCounters(Band));
+  const ArenaAllocator::Counters Counters = Allocator.counters();
+  Result.GeneralAllocs = Counters.GeneralAllocs;
+  Result.GeneralBytes = Counters.GeneralBytes;
+  Result.General = Allocator.general().counters();
+  return Result;
 }
 
 TrainedQuantileMap

@@ -21,7 +21,7 @@
 ///   | CompiledTrace   | BSD         | none        | simulateBsd              |
 ///   | CompiledTrace   | arena       | static bits | simulateArena            |
 ///   | CompiledTrace   | arena       | online plan | simulateArena (Routes)   |
-///   | CompiledTrace   | multi-arena | class bands | simulateMultiArena       |
+///   | CompiledTrace   | arena bands | class bands | simulateMultiArena       |
 ///   | ScheduleFile    | first fit   | none        | streamSimulateFirstFit   |
 ///   | ScheduleFile    | BSD         | none        | streamSimulateBsd        |
 ///   | .sched, scan    | BSD         | none        | streamSimulateBsdBatched |
@@ -29,11 +29,14 @@
 ///
 /// The sequential rows share one consumer per family, driven by
 /// forEachEvent over either source (trace/CompiledTrace.h,
-/// trace/ScheduleFile.h); the last two run the Kingsley count scan in
-/// sim/StreamReplay.cpp (per-class live counts, no allocator), serially
-/// and one pool task per chunk, and report simulateBsd's values.  Compile
-/// a trace once and share the CompiledTrace across sweeps, repeats and
-/// --jobs fan-outs: it is immutable and safe to use from many threads.
+/// trace/ScheduleFile.h).  One arena consumer serves the arena, online and
+/// multi-arena rows: its router gives each record a band and the lifetime
+/// threshold the record is scored against.  The last two run the Kingsley
+/// count scan in sim/StreamReplay.cpp (per-class live counts, no
+/// allocator), serially and one pool task per chunk, and report
+/// simulateBsd's values.  Compile a trace once and share the CompiledTrace
+/// across sweeps, repeats and --jobs fan-outs: it is immutable and safe to
+/// use from many threads.
 /// Results are bit-identical to the replayTrace oracle (asserted in
 /// tests/sim_test.cpp).
 ///

@@ -288,8 +288,9 @@ void ShadowBsd::finish() {
 ShadowArena::ShadowArena(const ArenaAllocator &Observed, ViolationLog &Log,
                          uint64_t AuditStride)
     : Observed(&Observed), Log(Log), Cfg(Observed.config()),
-      GeneralReplica(Cfg.General), AuditStride(AuditStride) {
-  Arenas.resize(Cfg.ArenaCount);
+      Band(Cfg.Bands.front()), GeneralReplica(Cfg.General),
+      AuditStride(AuditStride) {
+  Arenas.resize(Band.ArenaCount);
 }
 
 uint64_t ShadowArena::bump(uint32_t Size, uint64_t Need) {
@@ -320,7 +321,7 @@ uint64_t ShadowArena::modelAllocate(uint32_t Size, bool Predicted) {
   }
   if (Arenas[Current].AllocPtr + Need <= arenaBytes())
     return bump(Size, Need);
-  for (unsigned I = 0; I < Cfg.ArenaCount; ++I) {
+  for (unsigned I = 0; I < Band.ArenaCount; ++I) {
     ++Model.ScanSteps;
     if (Arenas[I].LiveCount == 0) {
       ++Model.Resets;
@@ -350,16 +351,16 @@ void ShadowArena::crossCheck() {
                 " != model " +
                 std::to_string(ArenaLive + GeneralReplica.liveBytes()));
   if (AuditStride && Op % AuditStride == 0) {
-    for (unsigned I = 0; I < Cfg.ArenaCount; ++I) {
-      if (Observed->arenaLiveCount(I) != Arenas[I].LiveCount)
+    for (unsigned I = 0; I < Band.ArenaCount; ++I) {
+      if (Observed->arenaLiveCount(0, I) != Arenas[I].LiveCount)
         Log.add(Op, "arena-live-count",
                 "arena " + std::to_string(I) + " live count " +
-                    std::to_string(Observed->arenaLiveCount(I)) +
+                    std::to_string(Observed->arenaLiveCount(0, I)) +
                     " != model " + std::to_string(Arenas[I].LiveCount));
-      if (Observed->arenaGeneration(I) != Arenas[I].Generation)
+      if (Observed->arenaGeneration(0, I) != Arenas[I].Generation)
         Log.add(Op, "arena-reset",
                 "arena " + std::to_string(I) + " generation " +
-                    std::to_string(Observed->arenaGeneration(I)) +
+                    std::to_string(Observed->arenaGeneration(0, I)) +
                     " != model " + std::to_string(Arenas[I].Generation));
     }
     std::string Error;
@@ -468,12 +469,12 @@ void ShadowArena::finish() {
 // ShadowMultiArena
 //===----------------------------------------------------------------------===//
 
-ShadowMultiArena::ShadowMultiArena(const MultiArenaAllocator &Observed,
+ShadowMultiArena::ShadowMultiArena(const ArenaAllocator &Observed,
                                    ViolationLog &Log, uint64_t AuditStride)
     : Observed(&Observed), Log(Log),
       GeneralReplica(Observed.config().General), AuditStride(AuditStride) {
-  uint64_t Base = 1 << 20;
-  for (const MultiArenaAllocator::BandConfig &BandCfg :
+  uint64_t Base = Observed.config().ArenaBase;
+  for (const ArenaAllocator::BandConfig &BandCfg :
        Observed.config().Bands) {
     ModelBand Band;
     Band.Cfg = BandCfg;
@@ -488,7 +489,7 @@ uint8_t ShadowMultiArena::bandForAddress(uint64_t Addr) const {
   for (size_t I = 0; I < Bands.size(); ++I)
     if (Addr >= Bands[I].Base && Addr < Bands[I].Base + Bands[I].Cfg.AreaBytes)
       return static_cast<uint8_t>(I);
-  return MultiArenaAllocator::GeneralBand;
+  return ArenaAllocator::GeneralBand;
 }
 
 uint64_t ShadowMultiArena::bump(ModelBand &Band, uint32_t Size,
@@ -578,7 +579,7 @@ void ShadowMultiArena::onAlloc(uint32_t Size, uint8_t Band, uint64_t Addr) {
       Diverged = true;
     }
     if (!Diverged) {
-      if (GotBand != MultiArenaAllocator::GeneralBand)
+      if (GotBand != ArenaAllocator::GeneralBand)
         ArenaPayloads[Addr] = Size;
       else
         GeneralPayloads[Addr] = Size;
@@ -592,7 +593,7 @@ void ShadowMultiArena::onFree(uint64_t Addr) {
   bool Known = Spans.erase(Log, Op, Addr);
   if (!Diverged && Known) {
     uint8_t Band = bandForAddress(Addr);
-    if (Band != MultiArenaAllocator::GeneralBand) {
+    if (Band != ArenaAllocator::GeneralBand) {
       ModelBand &State = Bands[Band];
       ++State.Stats.Frees;
       unsigned Index =
@@ -625,18 +626,14 @@ void ShadowMultiArena::onFree(uint64_t Addr) {
 void ShadowMultiArena::finish() {
   if (!Diverged) {
     for (size_t B = 0; B < Bands.size(); ++B) {
-      const MultiArenaAllocator::BandCounters &Got =
-          Observed->bandCounters(B);
-      const MultiArenaAllocator::BandCounters &Want = Bands[B].Stats;
-      if (Got.Allocs != Want.Allocs || Got.Bytes != Want.Bytes ||
-          Got.Frees != Want.Frees || Got.ScanSteps != Want.ScanSteps ||
-          Got.Resets != Want.Resets || Got.Fallbacks != Want.Fallbacks)
+      if (!(Observed->bandCounters(B) == Bands[B].Stats))
         Log.add(Op, "counter-conformance",
                 "band " + std::to_string(B) +
                     " counters diverge from the reference model");
     }
-    if (Observed->generalAllocs() != ModelGeneralAllocs ||
-        Observed->generalBytes() != ModelGeneralBytes)
+    ArenaAllocator::Counters Routed = Observed->counters();
+    if (Routed.GeneralAllocs != ModelGeneralAllocs ||
+        Routed.GeneralBytes != ModelGeneralBytes)
       Log.add(Op, "counter-conformance",
               "general routing totals diverge from the reference model");
     const FirstFitAllocator::Config &GCfg = Observed->config().General;

@@ -37,7 +37,6 @@
 #include "alloc/ArenaAllocator.h"
 #include "alloc/BsdAllocator.h"
 #include "alloc/LegacyFirstFitAllocator.h"
-#include "alloc/MultiArenaAllocator.h"
 
 #include <cstdint>
 #include <map>
@@ -172,13 +171,13 @@ private:
   bool Diverged = false;
 };
 
-/// Lockstep checker for ArenaAllocator: an independent model of the
-/// routing state machine (bump pointers, live counts, reset scan) plus a
-/// legacy replica of the general heap predicts every address, and the
-/// observed allocator's per-arena live counts / generations are
-/// cross-checked against the model.  The prediction bit handed to the
-/// allocator is replayed here, so predicted-class routing is verified
-/// end to end.
+/// Lockstep checker for ArenaAllocator's single (paper) band: an
+/// independent model of the routing state machine (bump pointers, live
+/// counts, reset scan) plus a legacy replica of the general heap predicts
+/// every address, and the observed allocator's per-arena live counts /
+/// generations are cross-checked against the model.  The prediction bit
+/// handed to the allocator is replayed here, so predicted-class routing is
+/// verified end to end.
 class ShadowArena {
 public:
   ShadowArena(const ArenaAllocator &Observed, ViolationLog &Log,
@@ -195,9 +194,9 @@ private:
     uint64_t Generation = 0;
   };
 
-  uint64_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
+  uint64_t arenaBytes() const { return Band.AreaBytes / Band.ArenaCount; }
   bool isArenaAddress(uint64_t Addr) const {
-    return Addr >= Cfg.ArenaBase && Addr < Cfg.ArenaBase + Cfg.AreaBytes;
+    return Addr >= Cfg.ArenaBase && Addr < Cfg.ArenaBase + Band.AreaBytes;
   }
   uint64_t modelAllocate(uint32_t Size, bool Predicted);
   uint64_t bump(uint32_t Size, uint64_t Need);
@@ -206,6 +205,7 @@ private:
   const ArenaAllocator *Observed;
   ViolationLog &Log;
   ArenaAllocator::Config Cfg;
+  ArenaAllocator::BandConfig Band; ///< The one band modelled.
   ArenaAllocator::Counters Model;
   std::vector<ModelArena> Arenas;
   unsigned Current = 0;
@@ -220,11 +220,12 @@ private:
   bool Diverged = false;
 };
 
-/// Lockstep checker for MultiArenaAllocator: the banded analogue of
-/// ShadowArena, replaying the predicted band per allocation.
+/// Lockstep checker for ArenaAllocator with any number of bands: the
+/// banded analogue of ShadowArena, replaying the predicted band per
+/// allocation.
 class ShadowMultiArena {
 public:
-  ShadowMultiArena(const MultiArenaAllocator &Observed, ViolationLog &Log,
+  ShadowMultiArena(const ArenaAllocator &Observed, ViolationLog &Log,
                    uint64_t AuditStride = 256);
 
   void onAlloc(uint32_t Size, uint8_t Band, uint64_t Addr);
@@ -239,11 +240,11 @@ private:
   };
 
   struct ModelBand {
-    MultiArenaAllocator::BandConfig Cfg;
+    ArenaAllocator::BandConfig Cfg;
     uint64_t Base = 0;
     std::vector<ModelArena> Arenas;
     unsigned Current = 0;
-    MultiArenaAllocator::BandCounters Stats;
+    ArenaAllocator::BandCounters Stats;
 
     uint64_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
   };
@@ -253,7 +254,7 @@ private:
   uint64_t bump(ModelBand &Band, uint32_t Size, uint64_t Need);
   void crossCheck();
 
-  const MultiArenaAllocator *Observed;
+  const ArenaAllocator *Observed;
   ViolationLog &Log;
   std::vector<ModelBand> Bands;
   LegacyFirstFitAllocator GeneralReplica;

@@ -220,7 +220,8 @@ ShadowReport lifepred::shadowCheckArena(const AllocationTrace &Trace,
       bool Predicted = DB.contains(siteKey(DB.policy(),
                                            Trace.chain(Record.ChainIndex),
                                            Record.Size, Record.TypeId));
-      uint64_t Addr = A.allocate(Record.Size, Predicted);
+      uint64_t Addr = A.allocate(
+          Record.Size, Predicted ? 0 : ArenaAllocator::GeneralBand);
       S.onAlloc(Record.Size, Predicted, Addr);
       return Addr;
     };
@@ -231,7 +232,8 @@ ShadowReport lifepred::shadowCheckArena(const AllocationTrace &Trace,
     auto Route = [&Predicted](ArenaAllocator &A, ShadowArena &S, uint64_t Id,
                               const AllocRecord &Record) {
       bool Bit = Predicted.test(Id);
-      uint64_t Addr = A.allocate(Record.Size, Bit);
+      uint64_t Addr =
+          A.allocate(Record.Size, Bit ? 0 : ArenaAllocator::GeneralBand);
       S.onAlloc(Record.Size, Bit, Addr);
       return Addr;
     };
@@ -269,7 +271,8 @@ public:
     bool Route = Online.routeShort(Key);
     Keys[Id] = Key;
     Routes[Id] = Route;
-    Addresses[Id] = Allocator.allocate(Record.Size, Route);
+    Addresses[Id] = Allocator.allocate(
+        Record.Size, Route ? 0 : ArenaAllocator::GeneralBand);
     Shadow.onAlloc(Record.Size, Route, Addresses[Id]);
     ++Events;
   }
@@ -353,7 +356,8 @@ ShadowReport lifepred::shadowCheckArenaOnline(const AllocationTrace &Trace,
   auto Route = [&Routes](ArenaAllocator &A, ShadowArena &S, uint64_t Id,
                          const AllocRecord &Record) {
     bool Bit = Routes.test(Id);
-    uint64_t Addr = A.allocate(Record.Size, Bit);
+    uint64_t Addr =
+        A.allocate(Record.Size, Bit ? 0 : ArenaAllocator::GeneralBand);
     S.onAlloc(Record.Size, Bit, Addr);
     return Addr;
   };
@@ -367,16 +371,15 @@ ShadowReport lifepred::shadowCheckArenaOnline(const AllocationTrace &Trace,
 ShadowReport lifepred::shadowCheckMultiArena(const AllocationTrace &Trace,
                                              const ClassDatabase &DB,
                                              ReplayPath Path) {
-  MultiArenaAllocator::Config Config;
-  for (size_t I = 0; I < DB.thresholds().size(); ++I)
-    Config.Bands.push_back(MultiArenaAllocator::BandConfig());
-  MultiArenaAllocator Allocator(Config);
+  ArenaAllocator::Config Config;
+  Config.Bands.resize(DB.thresholds().size());
+  ArenaAllocator Allocator(Config);
   ViolationLog Log;
   ShadowMultiArena Shadow(Allocator, Log);
   uint64_t Events = 0;
 
   if (Path == ReplayPath::Oracle) {
-    auto Route = [&Trace, &DB](MultiArenaAllocator &A, ShadowMultiArena &S,
+    auto Route = [&Trace, &DB](ArenaAllocator &A, ShadowMultiArena &S,
                                uint64_t, const AllocRecord &Record) {
       uint8_t Band = DB.classify(siteKey(DB.policy(),
                                          Trace.chain(Record.ChainIndex),
@@ -389,14 +392,14 @@ ShadowReport lifepred::shadowCheckMultiArena(const AllocationTrace &Trace,
   } else {
     CompiledTrace Compiled(Trace, DB.policy());
     std::vector<LifetimeClass> Bands = compileBands(Compiled, DB);
-    auto Route = [&Bands](MultiArenaAllocator &A, ShadowMultiArena &S,
+    auto Route = [&Bands](ArenaAllocator &A, ShadowMultiArena &S,
                           uint64_t Id, const AllocRecord &Record) {
       uint8_t Band = Bands[Id];
       uint64_t Addr = A.allocate(Record.Size, Band);
       S.onAlloc(Record.Size, Band, Addr);
       return Addr;
     };
-    CompiledDriver<MultiArenaAllocator, ShadowMultiArena, decltype(Route)>
+    CompiledDriver<ArenaAllocator, ShadowMultiArena, decltype(Route)>
         Driver(Trace, Allocator, Shadow, Route);
     forEachEvent(Compiled, Driver);
     Shadow.finish();

@@ -90,7 +90,7 @@ ShadowReport shadowCheckArenaOnline(const AllocationTrace &Trace,
                                     ArenaAllocator::Config Config,
                                     ReplayPath Path);
 
-/// Replays \p Trace through a MultiArenaAllocator under ShadowMultiArena,
+/// Replays \p Trace through a banded ArenaAllocator under ShadowMultiArena,
 /// routing by \p DB's band classifications.  The allocator is configured
 /// with one band per database threshold.
 ShadowReport shadowCheckMultiArena(const AllocationTrace &Trace,

@@ -9,7 +9,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "alloc/ArenaAllocator.h"
-#include "alloc/MultiArenaAllocator.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
@@ -18,25 +17,43 @@
 
 using namespace lifepred;
 
+namespace {
+
+constexpr LifetimeClass Short = 0;
+constexpr LifetimeClass Long = ArenaAllocator::GeneralBand;
+
+template <typename VerdictT>
+concept AllocatesWith = requires(ArenaAllocator &A, VerdictT Verdict) {
+  A.allocate(uint32_t(8), Verdict);
+};
+
+// A prediction is a band, never a bool: `true` would silently become band 1
+// and land in the general heap.
+static_assert(AllocatesWith<LifetimeClass>);
+static_assert(!AllocatesWith<bool>);
+
+} // namespace
+
 TEST(ArenaTest, DefaultGeometryMatchesPaper) {
   ArenaAllocator A;
-  EXPECT_EQ(A.config().AreaBytes, 64u * 1024);
-  EXPECT_EQ(A.config().ArenaCount, 16u);
+  ASSERT_EQ(A.bands(), 1u);
+  EXPECT_EQ(A.config().Bands[0].AreaBytes, 64u * 1024);
+  EXPECT_EQ(A.config().Bands[0].ArenaCount, 16u);
   EXPECT_EQ(A.arenaBytes(), 4096u);
 }
 
 TEST(ArenaTest, PredictedShortGoesToArena) {
   ArenaAllocator A;
-  uint64_t P = A.allocate(100, /*PredictedShortLived=*/true);
+  uint64_t P = A.allocate(100, Short);
   EXPECT_GE(P, A.config().ArenaBase);
-  EXPECT_LT(P, A.config().ArenaBase + A.config().AreaBytes);
+  EXPECT_LT(P, A.config().ArenaBase + 64 * 1024);
   EXPECT_EQ(A.counters().ArenaAllocs, 1u);
-  EXPECT_EQ(A.arenaLiveCount(0), 1u);
+  EXPECT_EQ(A.arenaLiveCount(0, 0), 1u);
 }
 
 TEST(ArenaTest, PredictedLongGoesToGeneralHeap) {
   ArenaAllocator A;
-  uint64_t P = A.allocate(100, /*PredictedShortLived=*/false);
+  uint64_t P = A.allocate(100, Long);
   EXPECT_GE(P, A.config().General.BaseAddress);
   EXPECT_EQ(A.counters().UnpredictedAllocs, 1u);
   EXPECT_EQ(A.counters().ArenaAllocs, 0u);
@@ -44,31 +61,31 @@ TEST(ArenaTest, PredictedLongGoesToGeneralHeap) {
 
 TEST(ArenaTest, BumpAllocationIsContiguous) {
   ArenaAllocator A;
-  uint64_t P1 = A.allocate(16, true);
-  uint64_t P2 = A.allocate(16, true);
-  uint64_t P3 = A.allocate(24, true);
+  uint64_t P1 = A.allocate(16, Short);
+  uint64_t P2 = A.allocate(16, Short);
+  uint64_t P3 = A.allocate(24, Short);
   EXPECT_EQ(P2, P1 + 16);
   EXPECT_EQ(P3, P2 + 16);
   // 24 is already 8-byte aligned: the next bump sits 24 bytes later.
-  EXPECT_EQ(A.allocate(8, true), P3 + 24);
+  EXPECT_EQ(A.allocate(8, Short), P3 + 24);
 }
 
 TEST(ArenaTest, FreeDecrementsLiveCount) {
   ArenaAllocator A;
-  uint64_t P1 = A.allocate(100, true);
-  uint64_t P2 = A.allocate(100, true);
-  EXPECT_EQ(A.arenaLiveCount(0), 2u);
+  uint64_t P1 = A.allocate(100, Short);
+  uint64_t P2 = A.allocate(100, Short);
+  EXPECT_EQ(A.arenaLiveCount(0, 0), 2u);
   A.free(P1);
-  EXPECT_EQ(A.arenaLiveCount(0), 1u);
+  EXPECT_EQ(A.arenaLiveCount(0, 0), 1u);
   A.free(P2);
-  EXPECT_EQ(A.arenaLiveCount(0), 0u);
+  EXPECT_EQ(A.arenaLiveCount(0, 0), 0u);
   EXPECT_EQ(A.counters().ArenaFrees, 2u);
 }
 
 TEST(ArenaTest, OversizeObjectFallsThroughToGeneral) {
   ArenaAllocator A;
   // 6144 > 4096: the GHOST case.
-  uint64_t P = A.allocate(6144, true);
+  uint64_t P = A.allocate(6144, Short);
   EXPECT_GE(P, A.config().General.BaseAddress);
   EXPECT_EQ(A.counters().OversizeAllocs, 1u);
   EXPECT_EQ(A.counters().ArenaAllocs, 0u);
@@ -76,8 +93,8 @@ TEST(ArenaTest, OversizeObjectFallsThroughToGeneral) {
 
 TEST(ArenaTest, ExactArenaSizeObjectFits) {
   ArenaAllocator A;
-  uint64_t P = A.allocate(4096, true);
-  EXPECT_LT(P, A.config().ArenaBase + A.config().AreaBytes);
+  uint64_t P = A.allocate(4096, Short);
+  EXPECT_LT(P, A.config().ArenaBase + 64 * 1024);
   EXPECT_EQ(A.counters().ArenaAllocs, 1u);
 }
 
@@ -86,10 +103,10 @@ TEST(ArenaTest, FullArenaSwitchesToEmptyOne) {
   // Fill arena 0 with live objects.
   std::vector<uint64_t> Ptrs;
   for (int I = 0; I < 4096 / 64; ++I)
-    Ptrs.push_back(A.allocate(64, true));
-  EXPECT_EQ(A.arenaLiveCount(0), 64u);
+    Ptrs.push_back(A.allocate(64, Short));
+  EXPECT_EQ(A.arenaLiveCount(0, 0), 64u);
   // The next allocation scans and lands in a different (empty) arena.
-  uint64_t P = A.allocate(64, true);
+  uint64_t P = A.allocate(64, Short);
   EXPECT_GE(P, A.config().ArenaBase + A.arenaBytes());
   EXPECT_GT(A.counters().Resets, 0u);
 }
@@ -99,19 +116,19 @@ TEST(ArenaTest, PinnedArenasForceFallback) {
   // Pin every arena with one live object, filling the rest of each.
   std::vector<uint64_t> Pins;
   for (unsigned Arena = 0; Arena < 16; ++Arena) {
-    Pins.push_back(A.allocate(64, true)); // One pin...
+    Pins.push_back(A.allocate(64, Short)); // One pin...
     for (int I = 0; I < 4096 / 64 - 1; ++I)
-      A.free(A.allocate(64, true)); // ...rest allocated and freed.
+      A.free(A.allocate(64, Short)); // ...rest allocated and freed.
   }
   // All arenas full (alloc pointers at end) and none empty (count >= 1):
   // the allocator degenerates to the general heap — the CFRAC pollution.
-  uint64_t P = A.allocate(64, true);
+  uint64_t P = A.allocate(64, Short);
   EXPECT_GE(P, A.config().General.BaseAddress);
   EXPECT_GT(A.counters().FallbackAllocs, 0u);
 
   // Unpin one arena: the next predicted allocation reuses it.
   A.free(Pins[3]);
-  uint64_t Q = A.allocate(64, true);
+  uint64_t Q = A.allocate(64, Short);
   EXPECT_EQ(Q, A.config().ArenaBase + 3 * A.arenaBytes());
 }
 
@@ -119,18 +136,18 @@ TEST(ArenaTest, ResetReusesArenaFromItsBase) {
   ArenaAllocator A;
   std::vector<uint64_t> Ptrs;
   for (int I = 0; I < 64; ++I)
-    Ptrs.push_back(A.allocate(64, true));
+    Ptrs.push_back(A.allocate(64, Short));
   for (uint64_t P : Ptrs)
     A.free(P); // Arena 0 now empty but its alloc pointer is at the end.
   // Next allocation fails the bump, scans, and resets arena 0.
-  uint64_t P = A.allocate(64, true);
+  uint64_t P = A.allocate(64, Short);
   EXPECT_EQ(P, A.config().ArenaBase);
 }
 
 TEST(ArenaTest, FreeClassifiesByAddressRange) {
   ArenaAllocator A;
-  uint64_t ArenaPtr = A.allocate(64, true);
-  uint64_t GeneralPtr = A.allocate(64, false);
+  uint64_t ArenaPtr = A.allocate(64, Short);
+  uint64_t GeneralPtr = A.allocate(64, Long);
   A.free(GeneralPtr);
   EXPECT_EQ(A.counters().GeneralFrees, 1u);
   A.free(ArenaPtr);
@@ -140,14 +157,14 @@ TEST(ArenaTest, FreeClassifiesByAddressRange) {
 TEST(ArenaTest, HeapBytesIncludeArenaArea) {
   ArenaAllocator A;
   EXPECT_EQ(A.heapBytes(), 64u * 1024);
-  A.allocate(100, false);
+  A.allocate(100, Long);
   EXPECT_EQ(A.heapBytes(), 64u * 1024 + 8192);
 }
 
 TEST(ArenaTest, LiveBytesSpanBothRegions) {
   ArenaAllocator A;
-  uint64_t P1 = A.allocate(100, true);
-  uint64_t P2 = A.allocate(200, false);
+  uint64_t P1 = A.allocate(100, Short);
+  uint64_t P2 = A.allocate(200, Long);
   EXPECT_EQ(A.liveBytes(), 300u);
   A.free(P1);
   A.free(P2);
@@ -156,19 +173,18 @@ TEST(ArenaTest, LiveBytesSpanBothRegions) {
 
 TEST(ArenaTest, CustomGeometry) {
   ArenaAllocator::Config Cfg;
-  Cfg.AreaBytes = 32 * 1024;
-  Cfg.ArenaCount = 4;
+  Cfg.Bands = {{32 * 1024, 4}};
   ArenaAllocator A(Cfg);
   EXPECT_EQ(A.arenaBytes(), 8192u);
-  uint64_t P = A.allocate(5000, true); // Fits the bigger arena.
-  EXPECT_LT(P, Cfg.ArenaBase + Cfg.AreaBytes);
+  uint64_t P = A.allocate(5000, Short); // Fits the bigger arena.
+  EXPECT_LT(P, Cfg.ArenaBase + 32 * 1024);
 }
 
 TEST(ArenaTest, ArenaBytesCounterTracksPayload) {
   ArenaAllocator A;
-  A.allocate(100, true);
-  A.allocate(50, true);
-  A.allocate(70, false);
+  A.allocate(100, Short);
+  A.allocate(50, Short);
+  A.allocate(70, Long);
   EXPECT_EQ(A.counters().ArenaBytes, 150u);
   EXPECT_EQ(A.counters().GeneralBytes, 70u);
 }
@@ -180,7 +196,8 @@ TEST(ArenaTest, RandomChurnKeepsCountsConsistent) {
   for (int I = 0; I < 30000; ++I) {
     if (Live.empty() || R.nextBool(0.52)) {
       Live.push_back(A.allocate(
-          static_cast<uint32_t>(R.nextInRange(8, 256)), R.nextBool(0.8)));
+          static_cast<uint32_t>(R.nextInRange(8, 256)),
+          R.nextBool(0.8) ? Short : Long));
     } else {
       size_t Pick = R.nextBelow(Live.size());
       A.free(Live[Pick]);
@@ -191,18 +208,18 @@ TEST(ArenaTest, RandomChurnKeepsCountsConsistent) {
   // Invariant: total arena live counts equal live arena pointers.
   unsigned TotalCounts = 0;
   for (unsigned I = 0; I < 16; ++I)
-    TotalCounts += A.arenaLiveCount(I);
+    TotalCounts += A.arenaLiveCount(0, I);
   unsigned LiveArenaPtrs = 0;
   for (uint64_t P : Live)
     if (P >= A.config().ArenaBase &&
-        P < A.config().ArenaBase + A.config().AreaBytes)
+        P < A.config().ArenaBase + 64 * 1024)
       ++LiveArenaPtrs;
   EXPECT_EQ(TotalCounts, LiveArenaPtrs);
 }
 
 TEST(MultiArenaTest, SingleBandMatchesPaperAllocator) {
-  // One band with the paper's geometry behaves like ArenaAllocator.
-  MultiArenaAllocator Multi;
+  // The default single band is the paper's allocator, seen per band.
+  ArenaAllocator Multi;
   EXPECT_EQ(Multi.bands(), 1u);
   uint64_t P = Multi.allocate(100, 0);
   EXPECT_LT(P, uint64_t(1) << 30); // In the band area, not the heap.
@@ -212,9 +229,9 @@ TEST(MultiArenaTest, SingleBandMatchesPaperAllocator) {
 }
 
 TEST(MultiArenaTest, BandsAreDisjointAddressRanges) {
-  MultiArenaAllocator::Config Cfg;
+  ArenaAllocator::Config Cfg;
   Cfg.Bands = {{8 * 1024, 2}, {16 * 1024, 4}};
-  MultiArenaAllocator Multi(Cfg);
+  ArenaAllocator Multi(Cfg);
   uint64_t P0 = Multi.allocate(64, 0);
   uint64_t P1 = Multi.allocate(64, 1);
   EXPECT_LT(P0, P1);
@@ -226,21 +243,21 @@ TEST(MultiArenaTest, BandsAreDisjointAddressRanges) {
 }
 
 TEST(MultiArenaTest, GeneralBandAndUnknownBandsUseHeap) {
-  MultiArenaAllocator Multi;
-  uint64_t P1 = Multi.allocate(64, MultiArenaAllocator::GeneralBand);
+  ArenaAllocator Multi;
+  uint64_t P1 = Multi.allocate(64, ArenaAllocator::GeneralBand);
   uint64_t P2 = Multi.allocate(64, 7); // Out of range.
   EXPECT_GE(P1, uint64_t(1) << 40);
   EXPECT_GE(P2, uint64_t(1) << 40);
-  EXPECT_EQ(Multi.generalAllocs(), 2u);
+  EXPECT_EQ(Multi.counters().GeneralAllocs, 2u);
   Multi.free(P1);
   Multi.free(P2);
   EXPECT_EQ(Multi.liveBytes(), 0u);
 }
 
 TEST(MultiArenaTest, FullBandFallsBackAndRecovers) {
-  MultiArenaAllocator::Config Cfg;
+  ArenaAllocator::Config Cfg;
   Cfg.Bands = {{4 * 1024, 2}};
-  MultiArenaAllocator Multi(Cfg);
+  ArenaAllocator Multi(Cfg);
   std::vector<uint64_t> Live;
   for (int I = 0; I < 4096 / 64; ++I)
     Live.push_back(Multi.allocate(64, 0)); // Fills both 2 KB arenas.
@@ -258,10 +275,10 @@ TEST(MultiArenaTest, FullBandFallsBackAndRecovers) {
 }
 
 TEST(MultiArenaTest, HeapBytesSumBandAreas) {
-  MultiArenaAllocator::Config Cfg;
+  ArenaAllocator::Config Cfg;
   Cfg.Bands = {{8 * 1024, 2}, {16 * 1024, 4}};
-  MultiArenaAllocator Multi(Cfg);
+  ArenaAllocator Multi(Cfg);
   EXPECT_EQ(Multi.heapBytes(), 24u * 1024);
-  Multi.allocate(64, MultiArenaAllocator::GeneralBand);
+  Multi.allocate(64, ArenaAllocator::GeneralBand);
   EXPECT_EQ(Multi.heapBytes(), 24u * 1024 + 8192);
 }

@@ -10,14 +10,17 @@
 
 #include "core/Pipeline.h"
 #include "sim/MultiArenaSimulator.h"
+#include "sim/SimTelemetry.h"
 #include "sim/TraceSimulator.h"
 #include "support/Random.h"
 #include "trace/TraceStats.h"
 
 #include "gtest/gtest.h"
 
+#include <map>
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 using namespace lifepred;
 
@@ -139,16 +142,58 @@ TEST_P(DifferentialTest, SingleBandMultiArenaMatchesArenaAllocator) {
   ClassDatabase Banded = trainClassDatabase(P, Policy, {32 * 1024});
 
   CompiledTrace Compiled(T, Policy);
-  ArenaSimResult A = simulateArena(Compiled, Binary, 5.0);
-  MultiArenaSimResult M = simulateMultiArena(Compiled, Banded);
+  StatsRegistry ArenaStats, MultiStats;
+  SimTelemetry ArenaTel, MultiTel;
+  ArenaTel.Registry = &ArenaStats;
+  MultiTel.Registry = &MultiStats;
+  ArenaSimResult A = simulateArena(Compiled, Binary, 5.0, CostModel(),
+                                   ArenaAllocator::Config(), &ArenaTel);
+  MultiArenaSimResult M =
+      simulateMultiArena(Compiled, Banded, {}, &MultiTel);
 
   // One band with the paper's geometry is the paper's allocator: the
   // placement decisions — and therefore heaps and counters — coincide.
-  EXPECT_EQ(M.PerBand[0].Allocs, A.Arena.ArenaAllocs);
-  EXPECT_EQ(M.PerBand[0].Bytes, A.Arena.ArenaBytes);
+  // The flat counters split band 0's fallbacks into oversize and full.
+  ASSERT_EQ(M.PerBand.size(), 1u);
+  const auto &Band = M.PerBand[0];
+  EXPECT_EQ(Band.Allocs, A.Arena.ArenaAllocs);
+  EXPECT_EQ(Band.Bytes, A.Arena.ArenaBytes);
+  EXPECT_EQ(Band.Frees, A.Arena.ArenaFrees);
+  EXPECT_EQ(Band.ScanSteps, A.Arena.ScanSteps);
+  EXPECT_EQ(Band.Resets, A.Arena.Resets);
+  EXPECT_EQ(Band.Fallbacks, A.Arena.OversizeAllocs + A.Arena.FallbackAllocs);
   EXPECT_EQ(M.GeneralAllocs, A.Arena.GeneralAllocs);
+  EXPECT_EQ(M.GeneralBytes, A.Arena.GeneralBytes);
+  EXPECT_EQ(M.GeneralAllocs - Band.Fallbacks, A.Arena.UnpredictedAllocs);
+  EXPECT_EQ(M.General.Frees, A.Arena.GeneralFrees);
+  EXPECT_EQ(M.General, A.General);
   EXPECT_EQ(M.MaxHeapBytes, A.MaxHeapBytes);
-  EXPECT_EQ(M.General.SearchSteps, A.General.SearchSteps);
+  EXPECT_EQ(M.MaxLiveBytes, A.MaxLiveBytes);
+
+  // The registry keys both prefixes export carry the same values.
+  auto Shared = [](const auto &Metrics, const std::string &Prefix) {
+    std::map<std::string, typename std::decay_t<
+                              decltype(Metrics)>::mapped_type> Out;
+    for (const auto &[Name, Value] : Metrics) {
+      if (Name.rfind(Prefix, 0) != 0)
+        continue;
+      std::string Key = Name.substr(Prefix.size());
+      if (Key.rfind("general.", 0) == 0 || Key == "general_allocs" ||
+          Key == "general_bytes" || Key == "max_heap_bytes" ||
+          Key == "max_arena_live_bytes")
+        Out.emplace(Key, Value);
+    }
+    return Out;
+  };
+  auto ArenaCounters = Shared(ArenaStats.counters(), "arena.");
+  auto ArenaGauges = Shared(ArenaStats.gauges(), "arena.");
+  EXPECT_TRUE(ArenaCounters.count("general.allocs"));
+  EXPECT_TRUE(ArenaGauges.count("max_heap_bytes"));
+  EXPECT_TRUE(ArenaGauges.count("max_arena_live_bytes"));
+  EXPECT_EQ(ArenaCounters, Shared(MultiStats.counters(), "multiarena."));
+  EXPECT_EQ(ArenaGauges, Shared(MultiStats.gauges(), "multiarena."));
+  EXPECT_EQ(Shared(ArenaStats.histograms(), "arena."),
+            Shared(MultiStats.histograms(), "multiarena."));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

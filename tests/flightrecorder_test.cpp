@@ -71,8 +71,7 @@ TraceEventWriter::ClockFn tickingClock() {
 /// death 16200.  Arena 1 resets while unpinned and archives nothing.
 void runGoldenScenario(FlightRecorder &Rec) {
   ArenaAllocator::Config Cfg;
-  Cfg.AreaBytes = 8192;
-  Cfg.ArenaCount = 2;
+  Cfg.Bands = {{8192, 2}};
   ArenaAllocator Alloc(Cfg);
   Rec.setArenaGeometry(AuditPlacement::DefaultBand, Alloc.arenaBytes());
   Alloc.attachLifecycle(&Rec);
@@ -80,24 +79,24 @@ void runGoldenScenario(FlightRecorder &Rec) {
   auto Place = [&](uint64_t Addr) {
     AuditPlacement P;
     if (Alloc.isArenaAddress(Addr)) {
-      P.ArenaIndex = Alloc.arenaIndexFor(Addr);
-      P.Generation = Alloc.arenaGeneration(P.ArenaIndex);
+      P.ArenaIndex = Alloc.arenaIndexFor(0, Addr);
+      P.Generation = Alloc.arenaGeneration(0, P.ArenaIndex);
     }
     return P;
   };
 
   Rec.beginEvent(100);
-  uint64_t A = Alloc.allocate(100, true);
+  uint64_t A = Alloc.allocate(100, 0);
   Rec.recordAlloc(0, 100, 1, 100, true, 1000, Place(A));
 
   Rec.beginEvent(4100);
-  uint64_t B = Alloc.allocate(4000, true);
+  uint64_t B = Alloc.allocate(4000, 0);
   Rec.recordAlloc(1, 4100, 2, 4000, true, 5000, Place(B));
   Rec.recordFree(1, 8100);
   Alloc.free(B);
 
   Rec.beginEvent(12100);
-  uint64_t C = Alloc.allocate(4000, true);
+  uint64_t C = Alloc.allocate(4000, 0);
   Rec.recordAlloc(2, 12100, 2, 4000, true, 5000, Place(C));
   Rec.recordFree(2, 16100);
   Alloc.free(C);
@@ -321,8 +320,7 @@ TEST(FlightRecorderTest, ResetClosesEpisodeAndBackfillsSurvivorDeath) {
   // A pinned arena whose survivor dies and whose reset is then observed:
   // the episode must close at the reset clock with ResetObserved set.
   ArenaAllocator::Config Cfg;
-  Cfg.AreaBytes = 8192;
-  Cfg.ArenaCount = 2;
+  Cfg.Bands = {{8192, 2}};
   ArenaAllocator Alloc(Cfg);
   FlightRecorder Rec;
   Rec.setArenaGeometry(AuditPlacement::DefaultBand, Alloc.arenaBytes());
@@ -330,22 +328,22 @@ TEST(FlightRecorderTest, ResetClosesEpisodeAndBackfillsSurvivorDeath) {
   auto Place = [&](uint64_t Addr) {
     AuditPlacement P;
     if (Alloc.isArenaAddress(Addr)) {
-      P.ArenaIndex = Alloc.arenaIndexFor(Addr);
-      P.Generation = Alloc.arenaGeneration(P.ArenaIndex);
+      P.ArenaIndex = Alloc.arenaIndexFor(0, Addr);
+      P.Generation = Alloc.arenaGeneration(0, P.ArenaIndex);
     }
     return P;
   };
 
   Rec.beginEvent(100);
-  uint64_t D = Alloc.allocate(3000, true); // Arena 0.
+  uint64_t D = Alloc.allocate(3000, 0); // Arena 0.
   Rec.recordAlloc(0, 100, 7, 3000, true, 100, Place(D));
   Rec.beginEvent(6100);
-  uint64_t E = Alloc.allocate(3000, true); // Scan: arena 0 pinned at 6100.
+  uint64_t E = Alloc.allocate(3000, 0); // Scan: arena 0 pinned at 6100.
   Rec.recordAlloc(1, 6100, 7, 3000, true, 100, Place(E));
   Rec.recordFree(0, 8100); // Integral += (4096-3000)*2000 = 2,192,000.
   Alloc.free(D);
   Rec.beginEvent(10100);
-  uint64_t F = Alloc.allocate(3000, true); // Scan resets arena 0 at 10100.
+  uint64_t F = Alloc.allocate(3000, 0); // Scan resets arena 0 at 10100.
   Rec.recordAlloc(2, 10100, 7, 3000, true, 100, Place(F));
   EXPECT_EQ(Place(F).ArenaIndex, 0u);
   EXPECT_EQ(Place(F).Generation, 1u);

@@ -16,7 +16,6 @@
 #include "alloc/ArenaAllocator.h"
 #include "alloc/BsdAllocator.h"
 #include "alloc/FirstFitAllocator.h"
-#include "alloc/MultiArenaAllocator.h"
 #include "core/Pipeline.h"
 #include "sim/SimTelemetry.h"
 #include "sim/StreamReplay.h"
@@ -616,19 +615,20 @@ const SpanFamily SpanFamilies[] = {
     {"Arena", [] { return std::unique_ptr<AllocatorSim>(
                        std::make_unique<ArenaAllocator>()); },
      [](AllocatorSim &Heap, uint32_t Size, bool Short) {
-       return static_cast<ArenaAllocator &>(Heap).allocate(Size, Short);
+       return static_cast<ArenaAllocator &>(Heap).allocate(
+           Size, Short ? 0 : ArenaAllocator::GeneralBand);
      }},
     {"MultiArena",
      [] {
-       MultiArenaAllocator::Config Config;
+       ArenaAllocator::Config Config;
        Config.Bands = {{8 * 1024, 4}, {32 * 1024, 8}};
        return std::unique_ptr<AllocatorSim>(
-           std::make_unique<MultiArenaAllocator>(Config));
+           std::make_unique<ArenaAllocator>(Config));
      },
      [](AllocatorSim &Heap, uint32_t Size, bool Short) {
-       return static_cast<MultiArenaAllocator &>(Heap).allocate(
-           Size, Short ? static_cast<uint8_t>(Size & 1)
-                       : MultiArenaAllocator::GeneralBand);
+       return static_cast<ArenaAllocator &>(Heap).allocate(
+           Size, Short ? static_cast<LifetimeClass>(Size & 1)
+                       : ArenaAllocator::GeneralBand);
      }},
 };
 

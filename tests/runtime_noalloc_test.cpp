@@ -15,7 +15,6 @@
 
 #include "alloc/ArenaAllocator.h"
 #include "alloc/BsdAllocator.h"
-#include "alloc/MultiArenaAllocator.h"
 #include "callchain/ShadowStack.h"
 #include "runtime/PredictingHeap.h"
 
@@ -152,7 +151,7 @@ TEST(SimNoAllocTest, ArenaBumpChurnNeverCallsOperatorNew) {
   uint64_t NewCalls = simNewCallsAfterWarmup(
       Heap,
       [](ArenaAllocator &H) {
-        return H.allocate(ObjectSize, /*PredictedShortLived=*/true);
+        return H.allocate(ObjectSize, /*Band=*/0);
       },
       200);
   EXPECT_EQ(NewCalls, 0u);
@@ -162,15 +161,15 @@ TEST(SimNoAllocTest, ArenaBumpChurnNeverCallsOperatorNew) {
 }
 
 TEST(SimNoAllocTest, MultiArenaBandChurnNeverCallsOperatorNew) {
-  MultiArenaAllocator::Config Config;
+  ArenaAllocator::Config Config;
   Config.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
-  MultiArenaAllocator Heap(Config);
+  ArenaAllocator Heap(Config);
   uint64_t NewCalls = simNewCallsAfterWarmup(
       Heap,
-      [](MultiArenaAllocator &H) { return H.allocate(ObjectSize, 1); },
+      [](ArenaAllocator &H) { return H.allocate(ObjectSize, 1); },
       200);
   EXPECT_EQ(NewCalls, 0u);
   EXPECT_EQ(Heap.bandCounters(1).Allocs, 201u * 50);
   EXPECT_EQ(Heap.bandCounters(1).Fallbacks, 0u);
-  EXPECT_EQ(Heap.generalAllocs(), 0u);
+  EXPECT_EQ(Heap.counters().GeneralAllocs, 0u);
 }

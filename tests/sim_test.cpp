@@ -329,7 +329,8 @@ TEST(CompiledTraceTest, ArenaCountersMatchOracleReplay) {
         bool Predicted = DB.contains(siteKey(
             Policy, Trace.chain(Record.ChainIndex), Record.Size,
             Record.TypeId));
-        Addresses[Id] = Allocator.allocate(Record.Size, Predicted);
+        Addresses[Id] = Allocator.allocate(
+            Record.Size, Predicted ? 0 : ArenaAllocator::GeneralBand);
       }
       void onFree(uint64_t Id, const AllocRecord &, uint64_t) override {
         Allocator.free(Addresses[Id]);
@@ -353,7 +354,7 @@ TEST(CompiledTraceTest, ArenaCountersMatchOracleReplay) {
 TEST(CompiledTraceTest, MultiArenaCountersMatchOracleReplay) {
   SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   const std::vector<uint64_t> Thresholds = {16 * 1024, 32 * 1024};
-  MultiArenaAllocator::Config Config;
+  ArenaAllocator::Config Config;
   Config.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
   for (uint64_t Seed = 31; Seed <= 33; ++Seed) {
     SCOPED_TRACE(Seed);
@@ -363,7 +364,7 @@ TEST(CompiledTraceTest, MultiArenaCountersMatchOracleReplay) {
 
     class Consumer : public TraceConsumer {
     public:
-      Consumer(MultiArenaAllocator &Allocator, const AllocationTrace &Trace,
+      Consumer(ArenaAllocator &Allocator, const AllocationTrace &Trace,
                const ClassDatabase &DB, const SiteKeyPolicy &Policy)
           : Allocator(Allocator), Trace(Trace), DB(DB), Policy(Policy) {
         Addresses.resize(Trace.size());
@@ -378,13 +379,13 @@ TEST(CompiledTraceTest, MultiArenaCountersMatchOracleReplay) {
       void onFree(uint64_t Id, const AllocRecord &, uint64_t) override {
         Allocator.free(Addresses[Id]);
       }
-      MultiArenaAllocator &Allocator;
+      ArenaAllocator &Allocator;
       const AllocationTrace &Trace;
       const ClassDatabase &DB;
       const SiteKeyPolicy &Policy;
       std::vector<uint64_t> Addresses;
     };
-    MultiArenaAllocator Oracle(Config);
+    ArenaAllocator Oracle(Config);
     Consumer C(Oracle, T, DB, Policy);
     replayTrace(T, C);
 
@@ -392,18 +393,11 @@ TEST(CompiledTraceTest, MultiArenaCountersMatchOracleReplay) {
         simulateMultiArena(CompiledTrace(T, Policy), DB, Config);
     EXPECT_EQ(R.MaxHeapBytes, Oracle.maxHeapBytes());
     ASSERT_EQ(R.PerBand.size(), Oracle.bands());
-    for (size_t Band = 0; Band < Oracle.bands(); ++Band) {
-      const auto &Got = R.PerBand[Band];
-      const auto &Want = Oracle.bandCounters(Band);
-      EXPECT_EQ(Got.Allocs, Want.Allocs) << "band " << Band;
-      EXPECT_EQ(Got.Bytes, Want.Bytes) << "band " << Band;
-      EXPECT_EQ(Got.Frees, Want.Frees) << "band " << Band;
-      EXPECT_EQ(Got.ScanSteps, Want.ScanSteps) << "band " << Band;
-      EXPECT_EQ(Got.Resets, Want.Resets) << "band " << Band;
-      EXPECT_EQ(Got.Fallbacks, Want.Fallbacks) << "band " << Band;
-    }
-    EXPECT_EQ(R.GeneralAllocs, Oracle.generalAllocs());
-    EXPECT_EQ(R.GeneralBytes, Oracle.generalBytes());
+    for (size_t Band = 0; Band < Oracle.bands(); ++Band)
+      EXPECT_EQ(R.PerBand[Band], Oracle.bandCounters(Band))
+          << "band " << Band;
+    EXPECT_EQ(R.GeneralAllocs, Oracle.counters().GeneralAllocs);
+    EXPECT_EQ(R.GeneralBytes, Oracle.counters().GeneralBytes);
     EXPECT_EQ(R.General, Oracle.general().counters());
   }
 }

@@ -131,7 +131,8 @@ TEST(ShadowArenaTest, CleanRunHasNoViolations) {
     if (Live.empty() || R.nextBool(0.65)) {
       uint32_t Size = static_cast<uint32_t>(R.nextInRange(1, 900));
       bool Predicted = R.nextBool(0.5);
-      uint64_t Addr = Alloc.allocate(Size, Predicted);
+      uint64_t Addr =
+          Alloc.allocate(Size, Predicted ? 0 : ArenaAllocator::GeneralBand);
       Shadow.onAlloc(Size, Predicted, Addr);
       Live.push_back(Addr);
     } else {
@@ -149,9 +150,9 @@ TEST(ShadowArenaTest, CleanRunHasNoViolations) {
 }
 
 TEST(ShadowMultiArenaTest, CleanRunHasNoViolations) {
-  MultiArenaAllocator::Config Cfg;
+  ArenaAllocator::Config Cfg;
   Cfg.Bands.resize(2);
-  MultiArenaAllocator Alloc(Cfg);
+  ArenaAllocator Alloc(Cfg);
   uint8_t BandCount = 2;
   ViolationLog Log;
   ShadowMultiArena Shadow(Alloc, Log, /*AuditStride=*/8);
@@ -161,7 +162,7 @@ TEST(ShadowMultiArenaTest, CleanRunHasNoViolations) {
     if (Live.empty() || R.nextBool(0.65)) {
       uint32_t Size = static_cast<uint32_t>(R.nextInRange(1, 900));
       uint8_t Band = R.nextBool(0.3)
-                         ? MultiArenaAllocator::GeneralBand
+                         ? ArenaAllocator::GeneralBand
                          : static_cast<uint8_t>(R.nextBelow(BandCount));
       uint64_t Addr = Alloc.allocate(Size, Band);
       Shadow.onAlloc(Size, Band, Addr);
@@ -243,7 +244,7 @@ TEST(ShadowMutationTest, FlippedPredictionBitIsCaught) {
   ArenaAllocator Alloc;
   ViolationLog Log;
   ShadowArena Shadow(Alloc, Log);
-  uint64_t Addr = Alloc.allocate(64, /*PredictedShortLived=*/true);
+  uint64_t Addr = Alloc.allocate(64, /*Band=*/0);
   Shadow.onAlloc(64, /*PredictedShortLived=*/false, Addr);
   EXPECT_FALSE(Log.clean());
   EXPECT_EQ(Log.violations()[0].Invariant, "routing-conformance");
