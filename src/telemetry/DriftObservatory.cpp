@@ -157,10 +157,30 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
   if (!Trained)
     return R;
 
-  // Sorted, the lifetime log is one run of entries per (site, window),
-  // site-major, each run ordered by lifetime bucket.
-  std::vector<uint64_t> Log = Obs.lifetimeLog();
-  std::sort(Log.begin(), Log.end());
+  // Two stable counting passes, by window and then by site (both dense
+  // ids), group the lifetime log into one run per (site, window),
+  // site-major and window-ascending, in O(entries + windows + sites).  The
+  // order within a run does not matter: a run only fills a histogram.
+  auto CountingPass = [](const std::vector<uint64_t> &From, size_t Keys,
+                         auto KeyOf) {
+    std::vector<size_t> Start(Keys + 1, 0);
+    for (uint64_t Entry : From)
+      ++Start[KeyOf(Entry) + 1];
+    for (size_t K = 1; K <= Keys; ++K)
+      Start[K] += Start[K - 1];
+    std::vector<uint64_t> To(From.size());
+    for (uint64_t Entry : From)
+      To[Start[KeyOf(Entry)]++] = Entry;
+    return To;
+  };
+  std::vector<uint64_t> Log = CountingPass(
+      CountingPass(Obs.lifetimeLog(), Obs.windowCount(),
+                   [](uint64_t Entry) {
+                     return (Entry >> WindowShift) &
+                            (DriftObservatory::MaxWindows - 1);
+                   }),
+      SeenSites.size() * 64,
+      [](uint64_t Entry) { return Entry >> SiteShift; });
   std::vector<DriftSiteScore> Scored;
   for (size_t Begin = 0, End = 0; Begin < Log.size(); Begin = End) {
     uint64_t SiteWindow = Log[Begin] >> WindowShift;

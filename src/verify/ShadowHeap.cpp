@@ -285,19 +285,44 @@ void ShadowBsd::finish() {
 // ShadowArena
 //===----------------------------------------------------------------------===//
 
-ShadowArena::ShadowArena(const ArenaAllocator &Observed, ViolationLog &Log,
-                         uint64_t AuditStride)
-    : Observed(&Observed), Log(Log), Cfg(Observed.config()),
-      Band(Cfg.Bands.front()), GeneralReplica(Cfg.General),
-      AuditStride(AuditStride) {
-  Arenas.resize(Band.ArenaCount);
+namespace {
+
+std::string bandName(LifetimeClass Band) {
+  return Band == ArenaAllocator::GeneralBand ? "the general heap"
+                                             : "band " + std::to_string(Band);
 }
 
-uint64_t ShadowArena::bump(uint32_t Size, uint64_t Need) {
-  ModelArena &A = Arenas[Current];
-  uint64_t Addr = Cfg.ArenaBase + Current * arenaBytes() + A.AllocPtr;
+} // namespace
+
+ShadowArena::ShadowArena(const ArenaAllocator &Observed, ViolationLog &Log,
+                         uint64_t AuditStride)
+    : Observed(&Observed), Log(Log),
+      GeneralReplica(Observed.config().General), AuditStride(AuditStride) {
+  uint64_t Base = Observed.config().ArenaBase;
+  for (const ArenaAllocator::BandConfig &BandCfg : Observed.config().Bands) {
+    ModelBand Band;
+    Band.Cfg = BandCfg;
+    Band.Base = Base;
+    Band.Arenas.resize(BandCfg.ArenaCount);
+    Base += BandCfg.AreaBytes;
+    Bands.push_back(std::move(Band));
+  }
+}
+
+LifetimeClass ShadowArena::bandForAddress(uint64_t Addr) const {
+  for (size_t I = 0; I < Bands.size(); ++I)
+    if (Addr >= Bands[I].Base && Addr < Bands[I].Base + Bands[I].Cfg.AreaBytes)
+      return static_cast<LifetimeClass>(I);
+  return ArenaAllocator::GeneralBand;
+}
+
+uint64_t ShadowArena::bump(ModelBand &Band, uint32_t Size, uint64_t Need) {
+  ModelArena &A = Band.Arenas[Band.Current];
+  uint64_t Addr = Band.Base + Band.Current * Band.arenaBytes() + A.AllocPtr;
   A.AllocPtr += Need;
   ++A.LiveCount;
+  ++Band.Stats.Allocs;
+  Band.Stats.Bytes += Size;
   ++Model.ArenaAllocs;
   Model.ArenaBytes += Size;
   ArenaLive += Size;
@@ -305,36 +330,38 @@ uint64_t ShadowArena::bump(uint32_t Size, uint64_t Need) {
   return Addr;
 }
 
-uint64_t ShadowArena::modelAllocate(uint32_t Size, bool Predicted) {
-  if (!Predicted) {
-    ++Model.GeneralAllocs;
-    ++Model.UnpredictedAllocs;
-    Model.GeneralBytes += Size;
-    return GeneralReplica.allocate(Size);
-  }
-  uint64_t Need = alignTo(Size == 0 ? 1 : Size, 8);
-  if (Need > arenaBytes()) {
-    ++Model.GeneralAllocs;
-    ++Model.OversizeAllocs;
-    Model.GeneralBytes += Size;
-    return GeneralReplica.allocate(Size);
-  }
-  if (Arenas[Current].AllocPtr + Need <= arenaBytes())
-    return bump(Size, Need);
-  for (unsigned I = 0; I < Band.ArenaCount; ++I) {
-    ++Model.ScanSteps;
-    if (Arenas[I].LiveCount == 0) {
-      ++Model.Resets;
-      Arenas[I].AllocPtr = 0;
-      ++Arenas[I].Generation;
-      Current = I;
-      return bump(Size, Need);
-    }
-  }
+uint64_t ShadowArena::generalAllocate(uint32_t Size, uint64_t &Reason) {
+  ++Reason;
   ++Model.GeneralAllocs;
-  ++Model.FallbackAllocs;
   Model.GeneralBytes += Size;
   return GeneralReplica.allocate(Size);
+}
+
+uint64_t ShadowArena::modelAllocate(uint32_t Size, LifetimeClass BandIndex) {
+  if (BandIndex >= Bands.size())
+    return generalAllocate(Size, Model.UnpredictedAllocs);
+  ModelBand &Band = Bands[BandIndex];
+  uint64_t Need = alignTo(Size == 0 ? 1 : Size, 8);
+  if (Need > Band.arenaBytes()) {
+    ++Band.Stats.Fallbacks;
+    return generalAllocate(Size, Model.OversizeAllocs);
+  }
+  if (Band.Arenas[Band.Current].AllocPtr + Need <= Band.arenaBytes())
+    return bump(Band, Size, Need);
+  for (unsigned I = 0; I < Band.Cfg.ArenaCount; ++I) {
+    ++Band.Stats.ScanSteps;
+    ++Model.ScanSteps;
+    if (Band.Arenas[I].LiveCount == 0) {
+      ++Band.Stats.Resets;
+      ++Model.Resets;
+      Band.Arenas[I].AllocPtr = 0;
+      ++Band.Arenas[I].Generation;
+      Band.Current = I;
+      return bump(Band, Size, Need);
+    }
+  }
+  ++Band.Stats.Fallbacks;
+  return generalAllocate(Size, Model.FallbackAllocs);
 }
 
 void ShadowArena::crossCheck() {
@@ -351,17 +378,25 @@ void ShadowArena::crossCheck() {
                 " != model " +
                 std::to_string(ArenaLive + GeneralReplica.liveBytes()));
   if (AuditStride && Op % AuditStride == 0) {
-    for (unsigned I = 0; I < Band.ArenaCount; ++I) {
-      if (Observed->arenaLiveCount(0, I) != Arenas[I].LiveCount)
-        Log.add(Op, "arena-live-count",
-                "arena " + std::to_string(I) + " live count " +
-                    std::to_string(Observed->arenaLiveCount(0, I)) +
-                    " != model " + std::to_string(Arenas[I].LiveCount));
-      if (Observed->arenaGeneration(0, I) != Arenas[I].Generation)
-        Log.add(Op, "arena-reset",
-                "arena " + std::to_string(I) + " generation " +
-                    std::to_string(Observed->arenaGeneration(0, I)) +
-                    " != model " + std::to_string(Arenas[I].Generation));
+    for (size_t B = 0; B < Bands.size(); ++B) {
+      auto Band = static_cast<LifetimeClass>(B);
+      for (unsigned I = 0; I < Bands[B].Cfg.ArenaCount; ++I) {
+        const ModelArena &Want = Bands[B].Arenas[I];
+        auto Mismatch = [&](const char *Invariant, const char *What,
+                            uint64_t Got, uint64_t Model) {
+          Log.add(Op, Invariant,
+                  "band " + std::to_string(B) + " arena " +
+                      std::to_string(I) + " " + What + " " +
+                      std::to_string(Got) + " != model " +
+                      std::to_string(Model));
+        };
+        if (Observed->arenaLiveCount(Band, I) != Want.LiveCount)
+          Mismatch("arena-live-count", "live count",
+                   Observed->arenaLiveCount(Band, I), Want.LiveCount);
+        if (Observed->arenaGeneration(Band, I) != Want.Generation)
+          Mismatch("arena-reset", "generation",
+                   Observed->arenaGeneration(Band, I), Want.Generation);
+      }
     }
     std::string Error;
     if (!Observed->auditInvariants(Error))
@@ -369,22 +404,17 @@ void ShadowArena::crossCheck() {
   }
 }
 
-void ShadowArena::onAlloc(uint32_t Size, bool PredictedShortLived,
-                          uint64_t Addr) {
+void ShadowArena::onAlloc(uint32_t Size, LifetimeClass Band, uint64_t Addr) {
   Spans.insert(Log, Op, Addr, Size);
   if (!Diverged) {
-    uint64_t Want = modelAllocate(Size, PredictedShortLived);
-    bool WantArena = isArenaAddress(Want);
-    bool GotArena = isArenaAddress(Addr);
-    if (WantArena != GotArena) {
+    uint64_t Want = modelAllocate(Size, Band);
+    LifetimeClass WantBand = bandForAddress(Want);
+    LifetimeClass GotBand = bandForAddress(Addr);
+    if (WantBand != GotBand) {
       Log.add(Op, "routing-conformance",
-              std::string("alloc of ") + std::to_string(Size) + " bytes (" +
-                  (PredictedShortLived ? "predicted short" :
-                                         "predicted long") +
-                  ") routed to the " + (GotArena ? "arena area" :
-                                                  "general heap") +
-                  " but the model routed it to the " +
-                  (WantArena ? "arena area" : "general heap"));
+              "alloc of " + std::to_string(Size) + " bytes for " +
+                  bandName(Band) + " routed to " + bandName(GotBand) +
+                  " but the model routed it to " + bandName(WantBand));
       Diverged = true;
     } else if (Want != Addr) {
       Log.add(Op, "placement-conformance",
@@ -394,7 +424,7 @@ void ShadowArena::onAlloc(uint32_t Size, bool PredictedShortLived,
       Diverged = true;
     }
     if (!Diverged) {
-      if (GotArena)
+      if (GotBand != ArenaAllocator::GeneralBand)
         ArenaPayloads[Addr] = Size;
       else
         GeneralPayloads[Addr] = Size;
@@ -407,17 +437,20 @@ void ShadowArena::onAlloc(uint32_t Size, bool PredictedShortLived,
 void ShadowArena::onFree(uint64_t Addr) {
   bool Known = Spans.erase(Log, Op, Addr);
   if (!Diverged && Known) {
-    if (isArenaAddress(Addr)) {
+    LifetimeClass Band = bandForAddress(Addr);
+    if (Band != ArenaAllocator::GeneralBand) {
+      ModelBand &State = Bands[Band];
+      ++State.Stats.Frees;
       ++Model.ArenaFrees;
       unsigned Index =
-          static_cast<unsigned>((Addr - Cfg.ArenaBase) / arenaBytes());
-      if (Arenas[Index].LiveCount == 0) {
+          static_cast<unsigned>((Addr - State.Base) / State.arenaBytes());
+      if (State.Arenas[Index].LiveCount == 0) {
         Log.add(Op, "arena-live-count",
-                "model live count underflow in arena " +
-                    std::to_string(Index));
+                "model live count underflow in band " + std::to_string(Band) +
+                    " arena " + std::to_string(Index));
         Diverged = true;
       } else {
-        --Arenas[Index].LiveCount;
+        --State.Arenas[Index].LiveCount;
         auto It = ArenaPayloads.find(Addr);
         if (It != ArenaPayloads.end()) {
           ArenaLive -= It->second;
@@ -442,7 +475,12 @@ void ShadowArena::finish() {
     if (!(Observed->counters() == Model))
       Log.add(Op, "counter-conformance",
               "arena counters diverge from the reference model");
-    const FirstFitAllocator::Config &GCfg = Cfg.General;
+    for (size_t B = 0; B < Bands.size(); ++B)
+      if (!(Observed->bandCounters(B) == Bands[B].Stats))
+        Log.add(Op, "counter-conformance",
+                "band " + std::to_string(B) +
+                    " counters diverge from the reference model");
+    const FirstFitAllocator::Config &GCfg = Observed->config().General;
     bool SkipGeneral = GCfg.Policy == FitPolicy::BestFit && GCfg.BestFitBins;
     if (!SkipGeneral &&
         !(Observed->general().counters() == GeneralReplica.counters()))
@@ -459,194 +497,6 @@ void ShadowArena::finish() {
                   std::to_string(Observed->general().maxHeapBytes()) +
                   " != model " +
                   std::to_string(GeneralReplica.maxHeapBytes()));
-  }
-  std::string Error;
-  if (!Observed->auditInvariants(Error))
-    Log.add(Op, "self-audit", Error);
-}
-
-//===----------------------------------------------------------------------===//
-// ShadowMultiArena
-//===----------------------------------------------------------------------===//
-
-ShadowMultiArena::ShadowMultiArena(const ArenaAllocator &Observed,
-                                   ViolationLog &Log, uint64_t AuditStride)
-    : Observed(&Observed), Log(Log),
-      GeneralReplica(Observed.config().General), AuditStride(AuditStride) {
-  uint64_t Base = Observed.config().ArenaBase;
-  for (const ArenaAllocator::BandConfig &BandCfg :
-       Observed.config().Bands) {
-    ModelBand Band;
-    Band.Cfg = BandCfg;
-    Band.Base = Base;
-    Band.Arenas.resize(BandCfg.ArenaCount);
-    Base += BandCfg.AreaBytes;
-    Bands.push_back(std::move(Band));
-  }
-}
-
-uint8_t ShadowMultiArena::bandForAddress(uint64_t Addr) const {
-  for (size_t I = 0; I < Bands.size(); ++I)
-    if (Addr >= Bands[I].Base && Addr < Bands[I].Base + Bands[I].Cfg.AreaBytes)
-      return static_cast<uint8_t>(I);
-  return ArenaAllocator::GeneralBand;
-}
-
-uint64_t ShadowMultiArena::bump(ModelBand &Band, uint32_t Size,
-                                uint64_t Need) {
-  ModelArena &A = Band.Arenas[Band.Current];
-  uint64_t Addr = Band.Base + Band.Current * Band.arenaBytes() + A.AllocPtr;
-  A.AllocPtr += Need;
-  ++A.LiveCount;
-  ++Band.Stats.Allocs;
-  Band.Stats.Bytes += Size;
-  ArenaLive += Size;
-  MaxArenaLive = std::max(MaxArenaLive, ArenaLive);
-  return Addr;
-}
-
-uint64_t ShadowMultiArena::modelAllocate(uint32_t Size, uint8_t BandIndex) {
-  if (BandIndex < Bands.size()) {
-    ModelBand &Band = Bands[BandIndex];
-    uint64_t Need = alignTo(Size == 0 ? 1 : Size, 8);
-    if (Need <= Band.arenaBytes()) {
-      if (Band.Arenas[Band.Current].AllocPtr + Need <= Band.arenaBytes())
-        return bump(Band, Size, Need);
-      for (unsigned I = 0; I < Band.Cfg.ArenaCount; ++I) {
-        ++Band.Stats.ScanSteps;
-        if (Band.Arenas[I].LiveCount == 0) {
-          ++Band.Stats.Resets;
-          Band.Arenas[I].AllocPtr = 0;
-          ++Band.Arenas[I].Generation;
-          Band.Current = I;
-          return bump(Band, Size, Need);
-        }
-      }
-    }
-    ++Band.Stats.Fallbacks;
-  }
-  ++ModelGeneralAllocs;
-  ModelGeneralBytes += Size;
-  return GeneralReplica.allocate(Size);
-}
-
-void ShadowMultiArena::crossCheck() {
-  if (Diverged)
-    return;
-  if (Observed->arenaLiveBytes() != ArenaLive)
-    Log.add(Op, "byte-conservation",
-            "observed arenaLiveBytes " +
-                std::to_string(Observed->arenaLiveBytes()) + " != model " +
-                std::to_string(ArenaLive));
-  if (Observed->liveBytes() != ArenaLive + GeneralReplica.liveBytes())
-    Log.add(Op, "byte-conservation",
-            "observed liveBytes " + std::to_string(Observed->liveBytes()) +
-                " != model " +
-                std::to_string(ArenaLive + GeneralReplica.liveBytes()));
-  if (AuditStride && Op % AuditStride == 0) {
-    for (size_t B = 0; B < Bands.size(); ++B)
-      for (unsigned I = 0; I < Bands[B].Cfg.ArenaCount; ++I)
-        if (Observed->arenaGeneration(static_cast<uint8_t>(B), I) !=
-            Bands[B].Arenas[I].Generation)
-          Log.add(Op, "arena-reset",
-                  "band " + std::to_string(B) + " arena " +
-                      std::to_string(I) + " generation disagrees with the " +
-                      "model");
-    std::string Error;
-    if (!Observed->auditInvariants(Error))
-      Log.add(Op, "self-audit", Error);
-  }
-}
-
-void ShadowMultiArena::onAlloc(uint32_t Size, uint8_t Band, uint64_t Addr) {
-  Spans.insert(Log, Op, Addr, Size);
-  if (!Diverged) {
-    uint64_t Want = modelAllocate(Size, Band);
-    uint8_t WantBand = bandForAddress(Want);
-    uint8_t GotBand = bandForAddress(Addr);
-    if (WantBand != GotBand) {
-      Log.add(Op, "routing-conformance",
-              "alloc of " + std::to_string(Size) + " bytes for band " +
-                  std::to_string(Band) + " routed to band " +
-                  std::to_string(GotBand) + " but the model routed it to " +
-                  "band " + std::to_string(WantBand));
-      Diverged = true;
-    } else if (Want != Addr) {
-      Log.add(Op, "placement-conformance",
-              "alloc of " + std::to_string(Size) + " bytes placed at " +
-                  std::to_string(Addr) + " but the model placed it at " +
-                  std::to_string(Want));
-      Diverged = true;
-    }
-    if (!Diverged) {
-      if (GotBand != ArenaAllocator::GeneralBand)
-        ArenaPayloads[Addr] = Size;
-      else
-        GeneralPayloads[Addr] = Size;
-    }
-  }
-  crossCheck();
-  ++Op;
-}
-
-void ShadowMultiArena::onFree(uint64_t Addr) {
-  bool Known = Spans.erase(Log, Op, Addr);
-  if (!Diverged && Known) {
-    uint8_t Band = bandForAddress(Addr);
-    if (Band != ArenaAllocator::GeneralBand) {
-      ModelBand &State = Bands[Band];
-      ++State.Stats.Frees;
-      unsigned Index =
-          static_cast<unsigned>((Addr - State.Base) / State.arenaBytes());
-      if (State.Arenas[Index].LiveCount == 0) {
-        Log.add(Op, "arena-live-count",
-                "model live count underflow in band " + std::to_string(Band) +
-                    " arena " + std::to_string(Index));
-        Diverged = true;
-      } else {
-        --State.Arenas[Index].LiveCount;
-        auto It = ArenaPayloads.find(Addr);
-        if (It != ArenaPayloads.end()) {
-          ArenaLive -= It->second;
-          ArenaPayloads.erase(It);
-        }
-      }
-    } else {
-      auto It = GeneralPayloads.find(Addr);
-      if (It != GeneralPayloads.end()) {
-        GeneralReplica.free(Addr);
-        GeneralPayloads.erase(It);
-      }
-    }
-  }
-  crossCheck();
-  ++Op;
-}
-
-void ShadowMultiArena::finish() {
-  if (!Diverged) {
-    for (size_t B = 0; B < Bands.size(); ++B) {
-      if (!(Observed->bandCounters(B) == Bands[B].Stats))
-        Log.add(Op, "counter-conformance",
-                "band " + std::to_string(B) +
-                    " counters diverge from the reference model");
-    }
-    ArenaAllocator::Counters Routed = Observed->counters();
-    if (Routed.GeneralAllocs != ModelGeneralAllocs ||
-        Routed.GeneralBytes != ModelGeneralBytes)
-      Log.add(Op, "counter-conformance",
-              "general routing totals diverge from the reference model");
-    const FirstFitAllocator::Config &GCfg = Observed->config().General;
-    bool SkipGeneral = GCfg.Policy == FitPolicy::BestFit && GCfg.BestFitBins;
-    if (!SkipGeneral &&
-        !(Observed->general().counters() == GeneralReplica.counters()))
-      Log.add(Op, "counter-conformance",
-              "general-heap counters diverge from the reference model");
-    if (Observed->maxArenaLiveBytes() != MaxArenaLive)
-      Log.add(Op, "arena-peak",
-              "observed maxArenaLiveBytes " +
-                  std::to_string(Observed->maxArenaLiveBytes()) +
-                  " != model " + std::to_string(MaxArenaLive));
   }
   std::string Error;
   if (!Observed->auditInvariants(Error))

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shadow-heap reference models that lockstep-check the four allocator
-/// families step by step.  Each shadow consumes the observed (size,
-/// address) stream of an allocator under test, runs an *independent*
-/// reference model of the same policy beside it, and reports any
-/// divergence to a ViolationLog:
+/// Shadow-heap reference models that lockstep-check the allocator
+/// families step by step: ShadowFirstFit (every fit policy), ShadowBsd,
+/// and ShadowArena, one oracle for the arena allocator at any band count.
+/// Each shadow consumes the observed (size, address) stream of an
+/// allocator under test — plus, for the arena, the band it was given —
+/// runs an *independent* reference model of the same policy beside it,
+/// and reports any divergence to a ViolationLog:
 ///
 ///  - placement-policy conformance (first fit / best fit / BSD bucket /
 ///    arena bump addresses predicted exactly by the reference model);
@@ -18,9 +20,10 @@
 ///    cross-checked against the model every operation);
 ///  - coalescing idempotence, free-list order, and rover/bin integrity
 ///    (the allocator's own auditInvariants, invoked at a stride);
-///  - arena live-counter, generation, and batch-reset consistency;
-///  - predicted-class routing (arena vs general placement must match the
-///    prediction handed to the allocator).
+///  - arena live-counter, generation, and batch-reset consistency in every
+///    band;
+///  - predicted-class routing (the band or general heap an object lands in
+///    must match the band handed to the allocator).
 ///
 /// The shadows are deliberately built on *different* data structures than
 /// the production allocators (the map/set LegacyFirstFitAllocator and
@@ -38,6 +41,7 @@
 #include "alloc/BsdAllocator.h"
 #include "alloc/LegacyFirstFitAllocator.h"
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -171,64 +175,29 @@ private:
   bool Diverged = false;
 };
 
-/// Lockstep checker for ArenaAllocator's single (paper) band: an
-/// independent model of the routing state machine (bump pointers, live
-/// counts, reset scan) plus a legacy replica of the general heap predicts
-/// every address, and the observed allocator's per-arena live counts /
-/// generations are cross-checked against the model.  The prediction bit
-/// handed to the allocator is replayed here, so predicted-class routing is
-/// verified end to end.
+/// Lockstep checker for ArenaAllocator with any number of bands (one, the
+/// paper's allocator, by default): an independent model of the routing
+/// state machine (per-band bump pointers, live counts, generations and
+/// reset scans) plus a legacy replica of the general heap predicts every
+/// address.  The observed allocator's per-arena live counts and
+/// generations, its flat and per-band counters, its general heap and its
+/// peaks are cross-checked against the model.  The band handed to the
+/// allocator is replayed here, so predicted-class routing is verified end
+/// to end.
 class ShadowArena {
 public:
   ShadowArena(const ArenaAllocator &Observed, ViolationLog &Log,
               uint64_t AuditStride = 256);
 
-  void onAlloc(uint32_t Size, bool PredictedShortLived, uint64_t Addr);
-  void onFree(uint64_t Addr);
-  void finish();
+  /// \p Band is the band the allocator was given: an index, or
+  /// ArenaAllocator::GeneralBand for "predicted long".
+  void onAlloc(uint32_t Size, LifetimeClass Band, uint64_t Addr);
 
-private:
-  struct ModelArena {
-    uint64_t AllocPtr = 0;
-    uint32_t LiveCount = 0;
-    uint64_t Generation = 0;
-  };
+  /// A bool verdict is not a band: `false` would convert to band 0.
+  template <typename T>
+    requires std::same_as<T, bool>
+  void onAlloc(uint32_t Size, T PredictedShort, uint64_t Addr) = delete;
 
-  uint64_t arenaBytes() const { return Band.AreaBytes / Band.ArenaCount; }
-  bool isArenaAddress(uint64_t Addr) const {
-    return Addr >= Cfg.ArenaBase && Addr < Cfg.ArenaBase + Band.AreaBytes;
-  }
-  uint64_t modelAllocate(uint32_t Size, bool Predicted);
-  uint64_t bump(uint32_t Size, uint64_t Need);
-  void crossCheck();
-
-  const ArenaAllocator *Observed;
-  ViolationLog &Log;
-  ArenaAllocator::Config Cfg;
-  ArenaAllocator::BandConfig Band; ///< The one band modelled.
-  ArenaAllocator::Counters Model;
-  std::vector<ModelArena> Arenas;
-  unsigned Current = 0;
-  LegacyFirstFitAllocator GeneralReplica;
-  std::unordered_map<uint64_t, uint32_t> ArenaPayloads;
-  std::unordered_map<uint64_t, uint32_t> GeneralPayloads;
-  LiveSpanSet Spans;
-  uint64_t ArenaLive = 0;
-  uint64_t MaxArenaLive = 0;
-  uint64_t AuditStride;
-  uint64_t Op = 0;
-  bool Diverged = false;
-};
-
-/// Lockstep checker for ArenaAllocator with any number of bands: the
-/// banded analogue of ShadowArena, replaying the predicted band per
-/// allocation.
-class ShadowMultiArena {
-public:
-  ShadowMultiArena(const ArenaAllocator &Observed, ViolationLog &Log,
-                   uint64_t AuditStride = 256);
-
-  void onAlloc(uint32_t Size, uint8_t Band, uint64_t Addr);
   void onFree(uint64_t Addr);
   void finish();
 
@@ -249,17 +218,19 @@ private:
     uint64_t arenaBytes() const { return Cfg.AreaBytes / Cfg.ArenaCount; }
   };
 
-  uint8_t bandForAddress(uint64_t Addr) const;
-  uint64_t modelAllocate(uint32_t Size, uint8_t Band);
+  LifetimeClass bandForAddress(uint64_t Addr) const;
+  uint64_t modelAllocate(uint32_t Size, LifetimeClass Band);
   uint64_t bump(ModelBand &Band, uint32_t Size, uint64_t Need);
+  uint64_t generalAllocate(uint32_t Size, uint64_t &Reason);
   void crossCheck();
 
   const ArenaAllocator *Observed;
   ViolationLog &Log;
   std::vector<ModelBand> Bands;
+  /// The flat counters, counted here directly rather than summed from
+  /// the bands, so the allocator's own summation is checked too.
+  ArenaAllocator::Counters Model;
   LegacyFirstFitAllocator GeneralReplica;
-  uint64_t ModelGeneralAllocs = 0;
-  uint64_t ModelGeneralBytes = 0;
   std::unordered_map<uint64_t, uint32_t> ArenaPayloads;
   std::unordered_map<uint64_t, uint32_t> GeneralPayloads;
   LiveSpanSet Spans;

@@ -13,6 +13,7 @@
 #include "trace/CompiledTrace.h"
 #include "trace/TraceReplayer.h"
 
+#include <functional>
 #include <tuple>
 
 using namespace lifepred;
@@ -21,13 +22,20 @@ using namespace lifepred;
 // ShadowReport
 //===----------------------------------------------------------------------===//
 
+void ShadowReport::add(uint64_t Op, std::string Invariant,
+                       std::string Detail) {
+  ++ViolationCount;
+  if (Violations.size() < MaxRecorded)
+    Violations.push_back({Op, std::move(Invariant), std::move(Detail)});
+}
+
 void ShadowReport::merge(const ShadowReport &Other,
                          const std::string &Context) {
   Events += Other.Events;
   Checks += Other.Checks;
   ViolationCount += Other.ViolationCount;
   for (const Violation &V : Other.Violations) {
-    if (Violations.size() >= 32)
+    if (Violations.size() >= MaxRecorded)
       break;
     Violation Tagged = V;
     Tagged.Detail = "[" + Context + "] " + Tagged.Detail;
@@ -71,45 +79,96 @@ bool lifepred::validateTrace(const AllocationTrace &Trace,
 
 namespace {
 
-/// Turns a ViolationLog and an event count into a ShadowReport.
-ShadowReport reportFrom(const ViolationLog &Log, uint64_t Events) {
-  ShadowReport Report;
-  Report.Events = Events;
-  Report.Checks = 1;
-  Report.ViolationCount = Log.total();
-  Report.Violations = Log.violations();
-  return Report;
+// A route decides where each allocation goes.  place() allocates record Id
+// in the observed allocator, reports the address to the shadow and returns
+// it; died() hears each death before the free, ended() the final clock.
+
+/// First fit and BSD: every request is placed by its size alone.
+struct SizeRoute {
+  template <typename AllocatorT, typename ShadowT>
+  uint64_t place(AllocatorT &A, ShadowT &S, uint64_t,
+                 const AllocRecord &Record, uint64_t) const {
+    uint64_t Addr = A.allocate(Record.Size);
+    S.onAlloc(Record.Size, Addr);
+    return Addr;
+  }
+  void died(uint64_t, const AllocRecord &, uint64_t) const {}
+  void ended(uint64_t) const {}
+};
+
+/// Every arena run: Band picks each record's band at its birth (0 or
+/// GeneralBand for a short/long verdict); Died and Ended, when set, feed
+/// the deaths and the final clock back to a live predictor.
+struct ArenaRoute {
+  std::function<LifetimeClass(uint64_t Id, const AllocRecord &Record,
+                              uint64_t Clock)>
+      Band;
+  std::function<void(uint64_t Id, const AllocRecord &Record, uint64_t Clock)>
+      Died;
+  std::function<void(uint64_t Clock)> Ended;
+
+  uint64_t place(ArenaAllocator &A, ShadowArena &S, uint64_t Id,
+                 const AllocRecord &Record, uint64_t Clock) const {
+    LifetimeClass Chosen = Band(Id, Record, Clock);
+    uint64_t Addr = A.allocate(Record.Size, Chosen);
+    S.onAlloc(Record.Size, Chosen, Addr);
+    return Addr;
+  }
+  void died(uint64_t Id, const AllocRecord &Record, uint64_t Clock) const {
+    if (Died)
+      Died(Id, Record, Clock);
+  }
+  void ended(uint64_t Clock) const {
+    if (Ended)
+      Ended(Clock);
+  }
+};
+
+/// The band of a short/long verdict.
+LifetimeClass verdictBand(bool Short) {
+  return Short ? 0 : ArenaAllocator::GeneralBand;
+}
+
+/// Record \p Record's site key, computed from its chain rather than read
+/// from a compiled key table.
+SiteKey probeKey(const AllocationTrace &Trace, const SiteKeyPolicy &Policy,
+                 const AllocRecord &Record) {
+  return siteKey(Policy, Trace.chain(Record.ChainIndex), Record.Size,
+                 Record.TypeId);
 }
 
 /// Oracle-path driver: replays through the priority-queue interleaving.
-/// ShadowT provides onAlloc(Size, ..., Addr) via the Route functor and
-/// onFree(Addr).
 template <typename AllocatorT, typename ShadowT, typename RouteT>
 class OracleDriver : public TraceConsumer {
 public:
   OracleDriver(const AllocationTrace &Trace, AllocatorT &Allocator,
-               ShadowT &Shadow, RouteT Route)
+               ShadowT &Shadow, const RouteT &Route)
       : Allocator(Allocator), Shadow(Shadow), Route(Route) {
     Addresses.resize(Trace.size());
   }
 
-  void onAlloc(uint64_t Id, const AllocRecord &Record, uint64_t) override {
-    Addresses[Id] = Route(Allocator, Shadow, Id, Record);
+  void onAlloc(uint64_t Id, const AllocRecord &Record,
+               uint64_t Clock) override {
+    Addresses[Id] = Route.place(Allocator, Shadow, Id, Record, Clock);
     ++Events;
   }
 
-  void onFree(uint64_t Id, const AllocRecord &, uint64_t) override {
+  void onFree(uint64_t Id, const AllocRecord &Record,
+              uint64_t Clock) override {
+    Route.died(Id, Record, Clock);
     Allocator.free(Addresses[Id]);
     Shadow.onFree(Addresses[Id]);
     ++Events;
   }
+
+  void onEnd(uint64_t Clock) override { Route.ended(Clock); }
 
   uint64_t events() const { return Events; }
 
 private:
   AllocatorT &Allocator;
   ShadowT &Shadow;
-  RouteT Route;
+  const RouteT &Route;
   std::vector<uint64_t> Addresses;
   uint64_t Events = 0;
 };
@@ -117,55 +176,66 @@ private:
 /// Compiled-path driver: replays the flat schedule with no virtual
 /// dispatch, mirroring the production simulators.
 template <typename AllocatorT, typename ShadowT, typename RouteT>
-class CompiledDriver
-    : public ScheduleConsumer<CompiledDriver<AllocatorT, ShadowT, RouteT>> {
+class CompiledDriver {
 public:
   CompiledDriver(const AllocationTrace &Trace, AllocatorT &Allocator,
-                 ShadowT &Shadow, RouteT Route)
+                 ShadowT &Shadow, const RouteT &Route)
       : Allocator(Allocator), Shadow(Shadow), Route(Route),
         Records(Trace.records().data()) {
     Addresses.resize(Trace.size());
   }
 
-  void onAlloc(uint32_t Id, uint32_t, uint64_t) {
-    Addresses[Id] = Route(Allocator, Shadow, Id, Records[Id]);
+  void onAlloc(uint32_t Id, uint32_t, uint64_t Clock) {
+    Addresses[Id] = Route.place(Allocator, Shadow, Id, Records[Id], Clock);
     ++Events;
   }
 
-  void onFree(uint32_t Id, uint64_t) {
+  void onFree(uint32_t Id, uint64_t Clock) {
+    Route.died(Id, Records[Id], Clock);
     Allocator.free(Addresses[Id]);
     Shadow.onFree(Addresses[Id]);
     ++Events;
   }
+
+  void onEnd(uint64_t Clock) { Route.ended(Clock); }
 
   uint64_t events() const { return Events; }
 
 private:
   AllocatorT &Allocator;
   ShadowT &Shadow;
-  RouteT Route;
+  const RouteT &Route;
   const AllocRecord *Records;
   std::vector<uint64_t> Addresses;
   uint64_t Events = 0;
 };
 
-/// Runs one shadow-checked replay over the requested path.
+/// Replays \p Compiled's trace over \p Path through a fresh allocator of
+/// \p Config under its shadow.
 template <typename AllocatorT, typename ShadowT, typename RouteT>
-uint64_t drive(const AllocationTrace &Trace, ReplayPath Path,
-               AllocatorT &Allocator, ShadowT &Shadow, RouteT Route) {
+ShadowReport drive(const CompiledTrace &Compiled, ReplayPath Path,
+                   typename AllocatorT::Config Config, const RouteT &Route) {
+  AllocatorT Allocator(std::move(Config));
+  ViolationLog Log;
+  ShadowT Shadow(Allocator, Log);
+  const AllocationTrace &Trace = Compiled.trace();
+  ShadowReport Report;
   if (Path == ReplayPath::Oracle) {
     OracleDriver<AllocatorT, ShadowT, RouteT> Driver(Trace, Allocator, Shadow,
                                                      Route);
     replayTrace(Trace, Driver);
-    Shadow.finish();
-    return Driver.events();
+    Report.Events = Driver.events();
+  } else {
+    CompiledDriver<AllocatorT, ShadowT, RouteT> Driver(Trace, Allocator,
+                                                       Shadow, Route);
+    forEachEvent(Compiled, Driver);
+    Report.Events = Driver.events();
   }
-  CompiledTrace Compiled(Trace);
-  CompiledDriver<AllocatorT, ShadowT, RouteT> Driver(Trace, Allocator, Shadow,
-                                                     Route);
-  forEachEvent(Compiled, Driver);
   Shadow.finish();
-  return Driver.events();
+  Report.Checks = 1;
+  Report.ViolationCount = Log.total();
+  Report.Violations = Log.violations();
+  return Report;
 }
 
 } // namespace
@@ -173,139 +243,39 @@ uint64_t drive(const AllocationTrace &Trace, ReplayPath Path,
 ShadowReport lifepred::shadowCheckFirstFit(const AllocationTrace &Trace,
                                            FirstFitAllocator::Config Config,
                                            ReplayPath Path) {
-  FirstFitAllocator Allocator(Config);
-  ViolationLog Log;
-  ShadowFirstFit Shadow(Allocator, Log);
-  auto Route = [](FirstFitAllocator &A, ShadowFirstFit &S, uint64_t,
-                  const AllocRecord &Record) {
-    uint64_t Addr = A.allocate(Record.Size);
-    S.onAlloc(Record.Size, Addr);
-    return Addr;
-  };
-  uint64_t Events = drive(Trace, Path, Allocator, Shadow, Route);
-  return reportFrom(Log, Events);
+  return drive<FirstFitAllocator, ShadowFirstFit>(CompiledTrace(Trace), Path,
+                                                  Config, SizeRoute());
 }
 
 ShadowReport lifepred::shadowCheckBsd(const AllocationTrace &Trace,
                                       BsdAllocator::Config Config,
                                       ReplayPath Path) {
-  BsdAllocator Allocator(Config);
-  ViolationLog Log;
-  ShadowBsd Shadow(Allocator, Log);
-  auto Route = [](BsdAllocator &A, ShadowBsd &S, uint64_t,
-                  const AllocRecord &Record) {
-    uint64_t Addr = A.allocate(Record.Size);
-    S.onAlloc(Record.Size, Addr);
-    return Addr;
-  };
-  uint64_t Events = drive(Trace, Path, Allocator, Shadow, Route);
-  return reportFrom(Log, Events);
+  return drive<BsdAllocator, ShadowBsd>(CompiledTrace(Trace), Path, Config,
+                                        SizeRoute());
 }
 
 ShadowReport lifepred::shadowCheckArena(const AllocationTrace &Trace,
                                         const SiteDatabase &DB,
                                         ArenaAllocator::Config Config,
                                         ReplayPath Path) {
-  ArenaAllocator Allocator(Config);
-  ViolationLog Log;
-  ShadowArena Shadow(Allocator, Log);
-  uint64_t Events = 0;
-
-  if (Path == ReplayPath::Oracle) {
+  CompiledTrace Compiled(Trace, DB.policy());
+  ArenaRoute Route;
+  if (Path == ReplayPath::Oracle)
     // Oracle path resolves every prediction with a live database probe —
     // independently of the compiled bit table, so a disagreement between
     // the two paths surfaces as a routing violation on one of them.
-    auto Route = [&Trace, &DB](ArenaAllocator &A, ShadowArena &S, uint64_t,
-                               const AllocRecord &Record) {
-      bool Predicted = DB.contains(siteKey(DB.policy(),
-                                           Trace.chain(Record.ChainIndex),
-                                           Record.Size, Record.TypeId));
-      uint64_t Addr = A.allocate(
-          Record.Size, Predicted ? 0 : ArenaAllocator::GeneralBand);
-      S.onAlloc(Record.Size, Predicted, Addr);
-      return Addr;
+    Route.Band = [&Trace, &DB](uint64_t, const AllocRecord &Record,
+                               uint64_t) {
+      return verdictBand(DB.contains(probeKey(Trace, DB.policy(), Record)));
     };
-    Events = drive(Trace, Path, Allocator, Shadow, Route);
-  } else {
-    CompiledTrace Compiled(Trace, DB.policy());
-    PredictedShortBits Predicted(Compiled, DB);
-    auto Route = [&Predicted](ArenaAllocator &A, ShadowArena &S, uint64_t Id,
-                              const AllocRecord &Record) {
-      bool Bit = Predicted.test(Id);
-      uint64_t Addr =
-          A.allocate(Record.Size, Bit ? 0 : ArenaAllocator::GeneralBand);
-      S.onAlloc(Record.Size, Bit, Addr);
-      return Addr;
+  else
+    Route.Band = [Bits = PredictedShortBits(Compiled, DB)](
+                     uint64_t Id, const AllocRecord &, uint64_t) {
+      return verdictBand(Bits.test(Id));
     };
-    CompiledDriver<ArenaAllocator, ShadowArena, decltype(Route)> Driver(
-        Trace, Allocator, Shadow, Route);
-    forEachEvent(Compiled, Driver);
-    Shadow.finish();
-    Events = Driver.events();
-  }
-  return reportFrom(Log, Events);
+  return drive<ArenaAllocator, ShadowArena>(Compiled, Path, std::move(Config),
+                                            Route);
 }
-
-namespace {
-
-/// Oracle-path online driver: a live predictor routes each allocation at
-/// its birth clock and sees each death as it happens — the causal loop the
-/// route compile pass (runtime/Retrainer.h) replays sequentially.
-class OnlineOracleDriver : public TraceConsumer {
-public:
-  OnlineOracleDriver(const AllocationTrace &Trace, const SiteKeyPolicy &Policy,
-                     OnlinePredictor &Online, ArenaAllocator &Allocator,
-                     ShadowArena &Shadow)
-      : Trace(Trace), Policy(Policy), Online(Online), Allocator(Allocator),
-        Shadow(Shadow) {
-    Addresses.resize(Trace.size());
-    Keys.resize(Trace.size());
-    Routes.resize(Trace.size());
-  }
-
-  void onAlloc(uint64_t Id, const AllocRecord &Record,
-               uint64_t Clock) override {
-    Online.advanceClock(Clock);
-    SiteKey Key = siteKey(Policy, Trace.chain(Record.ChainIndex), Record.Size,
-                          Record.TypeId);
-    bool Route = Online.routeShort(Key);
-    Keys[Id] = Key;
-    Routes[Id] = Route;
-    Addresses[Id] = Allocator.allocate(
-        Record.Size, Route ? 0 : ArenaAllocator::GeneralBand);
-    Shadow.onAlloc(Record.Size, Route, Addresses[Id]);
-    ++Events;
-  }
-
-  void onFree(uint64_t Id, const AllocRecord &Record,
-              uint64_t Clock) override {
-    Online.advanceClock(Clock);
-    // Feed back the route the object was *born* under, so misprediction
-    // evidence scores what the allocator actually did.
-    Online.observeDeath(Keys[Id], Routes[Id] != 0, Record.Lifetime);
-    Allocator.free(Addresses[Id]);
-    Shadow.onFree(Addresses[Id]);
-    ++Events;
-  }
-
-  void onEnd(uint64_t Clock) override { Online.finish(Clock); }
-
-  uint64_t events() const { return Events; }
-  bool routedShort(uint64_t Id) const { return Routes[Id] != 0; }
-
-private:
-  const AllocationTrace &Trace;
-  const SiteKeyPolicy &Policy;
-  OnlinePredictor &Online;
-  ArenaAllocator &Allocator;
-  ShadowArena &Shadow;
-  std::vector<uint64_t> Addresses;
-  std::vector<SiteKey> Keys;
-  std::vector<unsigned char> Routes;
-  uint64_t Events = 0;
-};
-
-} // namespace
 
 ShadowReport lifepred::shadowCheckArenaOnline(const AllocationTrace &Trace,
                                               const SiteDatabase &DB,
@@ -319,53 +289,51 @@ ShadowReport lifepred::shadowCheckArenaOnline(const AllocationTrace &Trace,
   CompiledTrace Compiled(Trace, DB.policy());
   OnlineRoutePlan Plan = compileOnlineRoutes(Compiled, OnlineConfig);
 
-  ArenaAllocator Allocator(Config);
-  ViolationLog Log;
-  ShadowArena Shadow(Allocator, Log);
-
-  if (Path == ReplayPath::Oracle) {
-    OnlinePredictor Online(OnlineConfig);
-    OnlineOracleDriver Driver(Trace, DB.policy(), Online, Allocator, Shadow);
-    replayTrace(Trace, Driver);
-    Shadow.finish();
-    ShadowReport Report = reportFrom(Log, Driver.events());
-    // Routes must be a pure function of the event stream: the live causal
-    // run and the sequential route compile pass agree on every birth.
-    for (size_t Id = 0; Id < Trace.size(); ++Id) {
-      if (Driver.routedShort(Id) == Plan.testShort(Id))
-        continue;
-      ++Report.ViolationCount;
-      if (Report.Violations.size() < 32)
-        Report.Violations.push_back(
-            {Id, "online-route-differential",
-             "live oracle route disagrees with the compiled plan at record " +
-                 std::to_string(Id)});
-    }
-    if (Online.epoch() != Plan.Epochs) {
-      ++Report.ViolationCount;
-      if (Report.Violations.size() < 32)
-        Report.Violations.push_back(
-            {Trace.size(), "online-route-differential",
-             "live oracle epoch " + std::to_string(Online.epoch()) +
-                 " != compiled plan epoch " + std::to_string(Plan.Epochs)});
-    }
-    return Report;
+  ArenaRoute Route;
+  if (Path == ReplayPath::Compiled) {
+    Route.Band = [Bits = DynamicRouteBits(std::move(Plan.RouteWords))](
+                     uint64_t Id, const AllocRecord &, uint64_t) {
+      return verdictBand(Bits.test(Id));
+    };
+    return drive<ArenaAllocator, ShadowArena>(Compiled, Path,
+                                              std::move(Config), Route);
   }
 
-  DynamicRouteBits Routes(Plan.RouteWords);
-  auto Route = [&Routes](ArenaAllocator &A, ShadowArena &S, uint64_t Id,
-                         const AllocRecord &Record) {
-    bool Bit = Routes.test(Id);
-    uint64_t Addr =
-        A.allocate(Record.Size, Bit ? 0 : ArenaAllocator::GeneralBand);
-    S.onAlloc(Record.Size, Bit, Addr);
-    return Addr;
+  // Oracle path: a live predictor routes each allocation at its birth
+  // clock and sees each death as it happens — the causal loop the route
+  // compile pass (runtime/Retrainer.h) replays sequentially.
+  OnlinePredictor Online(OnlineConfig);
+  std::vector<SiteKey> Keys(Trace.size());
+  std::vector<unsigned char> Short(Trace.size());
+  Route.Band = [&](uint64_t Id, const AllocRecord &Record, uint64_t Clock) {
+    Online.advanceClock(Clock);
+    Keys[Id] = probeKey(Trace, DB.policy(), Record);
+    Short[Id] = Online.routeShort(Keys[Id]);
+    return verdictBand(Short[Id]);
   };
-  CompiledDriver<ArenaAllocator, ShadowArena, decltype(Route)> Driver(
-      Trace, Allocator, Shadow, Route);
-  forEachEvent(Compiled, Driver);
-  Shadow.finish();
-  return reportFrom(Log, Driver.events());
+  // Feed back the route the object was *born* under, so misprediction
+  // evidence scores what the allocator actually did.
+  Route.Died = [&](uint64_t Id, const AllocRecord &Record, uint64_t Clock) {
+    Online.advanceClock(Clock);
+    Online.observeDeath(Keys[Id], Short[Id] != 0, Record.Lifetime);
+  };
+  Route.Ended = [&Online](uint64_t Clock) { Online.finish(Clock); };
+  ShadowReport Report = drive<ArenaAllocator, ShadowArena>(
+      Compiled, Path, std::move(Config), Route);
+
+  // Routes must be a pure function of the event stream: the live causal
+  // run and the sequential route compile pass agree on every birth.
+  for (size_t Id = 0; Id < Trace.size(); ++Id)
+    if ((Short[Id] != 0) != Plan.testShort(Id))
+      Report.add(Id, "online-route-differential",
+                 "live oracle route disagrees with the compiled plan at "
+                 "record " +
+                     std::to_string(Id));
+  if (Online.epoch() != Plan.Epochs)
+    Report.add(Trace.size(), "online-route-differential",
+               "live oracle epoch " + std::to_string(Online.epoch()) +
+                   " != compiled plan epoch " + std::to_string(Plan.Epochs));
+  return Report;
 }
 
 ShadowReport lifepred::shadowCheckMultiArena(const AllocationTrace &Trace,
@@ -373,39 +341,20 @@ ShadowReport lifepred::shadowCheckMultiArena(const AllocationTrace &Trace,
                                              ReplayPath Path) {
   ArenaAllocator::Config Config;
   Config.Bands.resize(DB.thresholds().size());
-  ArenaAllocator Allocator(Config);
-  ViolationLog Log;
-  ShadowMultiArena Shadow(Allocator, Log);
-  uint64_t Events = 0;
-
-  if (Path == ReplayPath::Oracle) {
-    auto Route = [&Trace, &DB](ArenaAllocator &A, ShadowMultiArena &S,
-                               uint64_t, const AllocRecord &Record) {
-      uint8_t Band = DB.classify(siteKey(DB.policy(),
-                                         Trace.chain(Record.ChainIndex),
-                                         Record.Size, Record.TypeId));
-      uint64_t Addr = A.allocate(Record.Size, Band);
-      S.onAlloc(Record.Size, Band, Addr);
-      return Addr;
+  CompiledTrace Compiled(Trace, DB.policy());
+  ArenaRoute Route;
+  if (Path == ReplayPath::Oracle)
+    Route.Band = [&Trace, &DB](uint64_t, const AllocRecord &Record,
+                               uint64_t) {
+      return DB.classify(probeKey(Trace, DB.policy(), Record));
     };
-    Events = drive(Trace, Path, Allocator, Shadow, Route);
-  } else {
-    CompiledTrace Compiled(Trace, DB.policy());
-    std::vector<LifetimeClass> Bands = compileBands(Compiled, DB);
-    auto Route = [&Bands](ArenaAllocator &A, ShadowMultiArena &S,
-                          uint64_t Id, const AllocRecord &Record) {
-      uint8_t Band = Bands[Id];
-      uint64_t Addr = A.allocate(Record.Size, Band);
-      S.onAlloc(Record.Size, Band, Addr);
-      return Addr;
+  else
+    Route.Band = [Bands = compileBands(Compiled, DB)](
+                     uint64_t Id, const AllocRecord &, uint64_t) {
+      return Bands[Id];
     };
-    CompiledDriver<ArenaAllocator, ShadowMultiArena, decltype(Route)>
-        Driver(Trace, Allocator, Shadow, Route);
-    forEachEvent(Compiled, Driver);
-    Shadow.finish();
-    Events = Driver.events();
-  }
-  return reportFrom(Log, Events);
+  return drive<ArenaAllocator, ShadowArena>(Compiled, Path, std::move(Config),
+                                            Route);
 }
 
 //===----------------------------------------------------------------------===//
@@ -441,32 +390,26 @@ ShadowReport lifepred::diffReplayPaths(const AllocationTrace &Trace) {
   ShadowReport Report;
   Report.Checks = 1;
   Report.Events = Oracle.Stream.size();
-  auto AddViolation = [&Report](uint64_t Op, std::string Detail) {
-    ++Report.ViolationCount;
-    if (Report.Violations.size() < 32)
-      Report.Violations.push_back(
-          {Op, "schedule-differential", std::move(Detail)});
-  };
-
   if (Schedule.size() != Oracle.Stream.size()) {
-    AddViolation(0, "oracle emits " + std::to_string(Oracle.Stream.size()) +
-                        " events but the compiled schedule has " +
-                        std::to_string(Schedule.size()));
+    Report.add(0, "schedule-differential",
+               "oracle emits " + std::to_string(Oracle.Stream.size()) +
+                   " events but the compiled schedule has " +
+                   std::to_string(Schedule.size()));
     return Report;
   }
   for (size_t Event = 0; Event < Schedule.size(); ++Event) {
     auto [Free, Id, Clock] = Oracle.Stream[Event];
     if (Schedule.isFree(Event) != Free || Schedule.objectId(Event) != Id ||
         Schedule.clock(Event) != Clock) {
-      AddViolation(Event, "event streams diverge at position " +
-                              std::to_string(Event));
+      Report.add(Event, "schedule-differential",
+                 "event streams diverge at position " + std::to_string(Event));
       break;
     }
   }
   if (Schedule.endClock() != Oracle.EndClock)
-    AddViolation(Schedule.size(),
-                 "oracle end clock " + std::to_string(Oracle.EndClock) +
-                     " != compiled " + std::to_string(Schedule.endClock()));
+    Report.add(Schedule.size(), "schedule-differential",
+               "oracle end clock " + std::to_string(Oracle.EndClock) +
+                   " != compiled " + std::to_string(Schedule.endClock()));
   return Report;
 }
 
@@ -479,8 +422,7 @@ ShadowReport lifepred::shadowCheckAll(const AllocationTrace &Trace) {
   std::string Error;
   if (!validateTrace(Trace, Error)) {
     Report.Checks = 1;
-    Report.ViolationCount = 1;
-    Report.Violations.push_back({0, "trace-structure", Error});
+    Report.add(0, "trace-structure", Error);
     return Report;
   }
 

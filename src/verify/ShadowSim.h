@@ -8,12 +8,15 @@
 /// Drivers that replay an AllocationTrace through each allocator family
 /// under a ShadowHeap oracle, over either replay path — the priority-queue
 /// reference oracle (replayTrace) or the compiled flat schedule
-/// (CompiledTrace/forEachEvent).  The arena drivers resolve predictions
-/// independently per path (direct database probes on the oracle path,
-/// PredictedShortBits / compileBands on the compiled path), so a shadow run
-/// over both paths doubles as a differential test of the prediction
-/// compilation.  shadowCheckAll composes every family, policy, and path
-/// into one verdict; it is the fuzzer's per-trace test function.
+/// (CompiledTrace/forEachEvent).  Every arena run — static, online and
+/// banded — is one route that picks a band per record, replayed under the
+/// one ShadowArena.  Routes resolve predictions independently per path
+/// (direct database probes or a live online predictor on the oracle path,
+/// PredictedShortBits / the frozen online plan / compileBands on the
+/// compiled path), so a shadow run over both paths doubles as a
+/// differential test of the prediction compilation.  shadowCheckAll
+/// composes every family, policy, and path into one verdict; it is the
+/// fuzzer's per-trace test function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +48,13 @@ struct ShadowReport {
   uint64_t ViolationCount = 0;  ///< Total violations across all checks.
   std::vector<Violation> Violations; ///< First few, with check context.
 
+  /// Violations recorded in full; the rest are only counted.
+  static constexpr size_t MaxRecorded = 32;
+
   bool clean() const { return ViolationCount == 0; }
+
+  /// Counts one violation and records it while fewer than MaxRecorded are.
+  void add(uint64_t Op, std::string Invariant, std::string Detail);
 
   /// Folds \p Other into this report, prefixing its recorded violations
   /// with \p Context (e.g. "firstfit/compiled").
@@ -90,7 +99,7 @@ ShadowReport shadowCheckArenaOnline(const AllocationTrace &Trace,
                                     ArenaAllocator::Config Config,
                                     ReplayPath Path);
 
-/// Replays \p Trace through a banded ArenaAllocator under ShadowMultiArena,
+/// Replays \p Trace through a banded ArenaAllocator under ShadowArena,
 /// routing by \p DB's band classifications.  The allocator is configured
 /// with one band per database threshold.
 ShadowReport shadowCheckMultiArena(const AllocationTrace &Trace,
@@ -103,7 +112,7 @@ ShadowReport diffReplayPaths(const AllocationTrace &Trace);
 
 /// The fuzzer's per-trace test function: structural validation, then every
 /// allocator family x fit policy x replay path under its shadow, a trained
-/// arena and multi-arena run, and the replay-path differential.
+/// static, online and banded arena run, and the replay-path differential.
 ShadowReport shadowCheckAll(const AllocationTrace &Trace);
 
 } // namespace lifepred

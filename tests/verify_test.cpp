@@ -20,6 +20,31 @@ namespace {
 /// A small trace with mixed sizes and lifetimes for direct shadow tests.
 AllocationTrace smallTrace() { return generateFuzzTrace(FuzzProfile::Uniform, 42, 64); }
 
+template <typename VerdictT>
+concept ShadowsWith = requires(ShadowArena &S, VerdictT Verdict) {
+  S.onAlloc(uint32_t(8), Verdict, uint64_t(0));
+};
+
+// The shadow replays a band, never a bool: `false` would silently become
+// band 0.
+static_assert(ShadowsWith<LifetimeClass>);
+static_assert(!ShadowsWith<bool>);
+
+/// True when \p Log recorded a violation of \p Invariant.
+bool raised(const ViolationLog &Log, const std::string &Invariant) {
+  for (const Violation &V : Log.violations())
+    if (V.Invariant == Invariant)
+      return true;
+  return false;
+}
+
+/// An arena allocator of \p Bands default (64 KB / 16) bands.
+ArenaAllocator::Config bandedConfig(size_t Bands) {
+  ArenaAllocator::Config Cfg;
+  Cfg.Bands.resize(Bands);
+  return Cfg;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -130,10 +155,9 @@ TEST(ShadowArenaTest, CleanRunHasNoViolations) {
   for (int I = 0; I < 600; ++I) {
     if (Live.empty() || R.nextBool(0.65)) {
       uint32_t Size = static_cast<uint32_t>(R.nextInRange(1, 900));
-      bool Predicted = R.nextBool(0.5);
-      uint64_t Addr =
-          Alloc.allocate(Size, Predicted ? 0 : ArenaAllocator::GeneralBand);
-      Shadow.onAlloc(Size, Predicted, Addr);
+      LifetimeClass Band = R.nextBool(0.5) ? 0 : ArenaAllocator::GeneralBand;
+      uint64_t Addr = Alloc.allocate(Size, Band);
+      Shadow.onAlloc(Size, Band, Addr);
       Live.push_back(Addr);
     } else {
       size_t Pick = R.nextBelow(Live.size());
@@ -155,7 +179,7 @@ TEST(ShadowMultiArenaTest, CleanRunHasNoViolations) {
   ArenaAllocator Alloc(Cfg);
   uint8_t BandCount = 2;
   ViolationLog Log;
-  ShadowMultiArena Shadow(Alloc, Log, /*AuditStride=*/8);
+  ShadowArena Shadow(Alloc, Log, /*AuditStride=*/8);
   Rng R(13);
   std::vector<uint64_t> Live;
   for (int I = 0; I < 600; ++I) {
@@ -179,6 +203,51 @@ TEST(ShadowMultiArenaTest, CleanRunHasNoViolations) {
   EXPECT_TRUE(Log.clean())
       << Log.total() << " violations; first: "
       << (Log.violations().empty() ? "" : Log.violations()[0].Detail);
+}
+
+TEST(ShadowArenaTest, ThreeBandsWithATinyBandRunClean) {
+  // Band 0's arenas hold 256 bytes, so it overflows and resets constantly;
+  // the larger bands fill up under the same churn.  Every band must see an
+  // oversize request, a full fallback and a reset.
+  ArenaAllocator::Config Cfg;
+  Cfg.Bands = {{512, 2}, {4096, 4}, {16 * 1024, 4}};
+  ArenaAllocator Alloc(Cfg);
+  ViolationLog Log;
+  ShadowArena Shadow(Alloc, Log, /*AuditStride=*/8);
+  std::vector<uint64_t> Oversize(Cfg.Bands.size(), 0);
+  Rng R(19);
+  std::vector<uint64_t> Live;
+  for (int I = 0; I < 3000; ++I) {
+    if (Live.empty() || R.nextBool(0.6)) {
+      uint32_t Size = static_cast<uint32_t>(
+          R.nextBool(0.5) ? R.nextInRange(1, 200) : R.nextInRange(1, 5000));
+      LifetimeClass Band =
+          R.nextBool(0.1) ? ArenaAllocator::GeneralBand
+                          : static_cast<LifetimeClass>(R.nextBelow(3));
+      if (Band != ArenaAllocator::GeneralBand &&
+          (Size + 7u) / 8 * 8 > Alloc.arenaBytes(Band))
+        ++Oversize[Band];
+      uint64_t Addr = Alloc.allocate(Size, Band);
+      Shadow.onAlloc(Size, Band, Addr);
+      Live.push_back(Addr);
+    } else {
+      size_t Pick = R.nextBelow(Live.size());
+      uint64_t Addr = Live[Pick];
+      Live.erase(Live.begin() + Pick);
+      Alloc.free(Addr);
+      Shadow.onFree(Addr);
+    }
+  }
+  Shadow.finish();
+  EXPECT_TRUE(Log.clean())
+      << Log.total() << " violations; first: "
+      << (Log.violations().empty() ? "" : Log.violations()[0].Detail);
+  for (size_t B = 0; B < Cfg.Bands.size(); ++B) {
+    const ArenaAllocator::BandCounters &Stats = Alloc.bandCounters(B);
+    EXPECT_GT(Oversize[B], 0u) << "band " << B;
+    EXPECT_GT(Stats.Fallbacks, Oversize[B]) << "band " << B << " never full";
+    EXPECT_GT(Stats.Resets, 0u) << "band " << B;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,9 +314,116 @@ TEST(ShadowMutationTest, FlippedPredictionBitIsCaught) {
   ViolationLog Log;
   ShadowArena Shadow(Alloc, Log);
   uint64_t Addr = Alloc.allocate(64, /*Band=*/0);
-  Shadow.onAlloc(64, /*PredictedShortLived=*/false, Addr);
+  Shadow.onAlloc(64, ArenaAllocator::GeneralBand, Addr);
   EXPECT_FALSE(Log.clean());
   EXPECT_EQ(Log.violations()[0].Invariant, "routing-conformance");
+}
+
+TEST(ShadowMutationTest, WrongBandIsCaught) {
+  // Two bands: the allocator places in band 1, the shadow replays band 0.
+  ArenaAllocator Alloc(bandedConfig(2));
+  ViolationLog Log;
+  ShadowArena Shadow(Alloc, Log);
+  uint64_t Addr = Alloc.allocate(64, /*Band=*/1);
+  Shadow.onAlloc(64, /*Band=*/0, Addr);
+  EXPECT_FALSE(Log.clean());
+  EXPECT_EQ(Log.violations()[0].Invariant, "routing-conformance");
+}
+
+TEST(ShadowMutationTest, LostBandOneFreeIsCaught) {
+  // A band-1 object dies but the shadow never hears of it; the next
+  // operation's audit sees band 1's arena 0 hold one object fewer than the
+  // model says.
+  ArenaAllocator Alloc(bandedConfig(2));
+  ViolationLog Log;
+  ShadowArena Shadow(Alloc, Log, /*AuditStride=*/1);
+  uint64_t A = Alloc.allocate(64, /*Band=*/1);
+  Shadow.onAlloc(64, /*Band=*/1, A);
+  Alloc.free(A); // Not forwarded to the shadow.
+  uint64_t B = Alloc.allocate(32, /*Band=*/0);
+  Shadow.onAlloc(32, /*Band=*/0, B);
+  EXPECT_TRUE(raised(Log, "arena-live-count"));
+}
+
+TEST(ShadowMutationTest, ArenaShadowRaisesEveryInvariantAtEveryBandCount) {
+  // Each mutation feeds the shadow a stream that disagrees with what the
+  // allocator did, in the last band (band 0 when there is one).  The
+  // allocator's own self-audit cannot be made to fail from outside a
+  // correct allocator, so it is not listed.
+  using Mutation = void (*)(ArenaAllocator &, ShadowArena &, LifetimeClass);
+  const std::pair<const char *, Mutation> Mutations[] = {
+      {"live-disjointness",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         uint64_t Addr = A.allocate(64, Band);
+         S.onAlloc(64, Band, Addr);
+         S.onAlloc(64, Band, Addr); // Reported twice.
+       }},
+      {"free-of-dead",
+       [](ArenaAllocator &, ShadowArena &S, LifetimeClass) {
+         S.onFree(12345);
+       }},
+      {"routing-conformance",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         S.onAlloc(64, ArenaAllocator::GeneralBand, A.allocate(64, Band));
+       }},
+      {"placement-conformance",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         S.onAlloc(64, Band, A.allocate(64, Band) + 8);
+       }},
+      {"byte-conservation",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         uint64_t Addr = A.allocate(64, Band);
+         S.onAlloc(64, Band, Addr);
+         A.free(Addr); // Lost.
+         S.onAlloc(32, Band, A.allocate(32, Band));
+       }},
+      {"arena-live-count",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         uint64_t Addr = A.allocate(64, Band);
+         S.onAlloc(64, Band, Addr);
+         A.free(Addr); // Lost.
+         S.onAlloc(32, Band, A.allocate(32, Band));
+       }},
+      {"arena-reset",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         // An unseen object resets arena 0 once more than the model does,
+         // yet the next object still lands at the arena's start.
+         uint64_t Full = A.allocate(4096, Band);
+         S.onAlloc(4096, Band, Full);
+         A.free(Full);
+         S.onFree(Full);
+         A.free(A.allocate(8, Band)); // Unseen.
+         S.onAlloc(4096, Band, A.allocate(4096, Band));
+       }},
+      {"counter-conformance",
+       [](ArenaAllocator &A, ShadowArena &, LifetimeClass Band) {
+         A.free(A.allocate(64, Band)); // Unseen.
+       }},
+      {"arena-peak",
+       [](ArenaAllocator &A, ShadowArena &S, LifetimeClass Band) {
+         uint64_t Small = A.allocate(16, Band);
+         S.onAlloc(16, Band, Small);
+         A.free(Small);
+         S.onFree(Small);
+         A.free(A.allocate(4096, Band)); // Unseen, and above the peak.
+       }},
+      {"heap-peak",
+       [](ArenaAllocator &A, ShadowArena &, LifetimeClass) {
+         A.free(A.allocate(100, ArenaAllocator::GeneralBand)); // Unseen.
+       }},
+  };
+  for (size_t Bands = 1; Bands <= 3; ++Bands) {
+    for (const auto &[Invariant, Mutate] : Mutations) {
+      ArenaAllocator Alloc(bandedConfig(Bands));
+      ViolationLog Log;
+      ShadowArena Shadow(Alloc, Log, /*AuditStride=*/1);
+      Mutate(Alloc, Shadow, static_cast<LifetimeClass>(Bands - 1));
+      Shadow.finish();
+      EXPECT_TRUE(raised(Log, Invariant))
+          << Bands << " bands: " << Invariant << " not raised; "
+          << Log.total() << " violations";
+    }
+  }
 }
 
 TEST(ShadowMutationTest, LostFreeIsCaught) {
