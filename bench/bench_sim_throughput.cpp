@@ -32,27 +32,27 @@
 // throughput aggregates those task-local times, so --jobs only shortens the
 // bench without perturbing the ratios.
 //
-// With --json (or --trace-out, or --audit-out) the bench additionally runs
-// one *untimed* instrumented replay per (program, allocator family) after
-// the timed region, collecting allocator counters, per-allocation
-// histograms, and prediction outcomes into a StatsRegistry — one registry
-// per program, merged in program order, so the telemetry section is
-// identical at any --jobs.  --timeline-stride=N adds byte-clock heap
-// samples of the first program's first-fit replay; --trace-out=<file>
-// writes chrome://tracing spans for the run's phases (plus arena
-// fill→pin→reset occupancy when auditing); --audit-out=<file> attaches a
-// flight recorder to each program's arena replay and writes the lifetime
-// audit (misprediction forensics and arena-pinning attribution), folding
-// its headline numbers into the JSON report.
+// With --json (or --trace-out, --audit-out, --drift-out or --observe) the
+// bench additionally runs one *untimed* instrumented replay per (program,
+// allocator family) after the timed region — ObservatoryBench's
+// replayFamilies, the pass table benches run for --observe — collecting
+// allocator counters, per-allocation histograms, and prediction outcomes
+// into a StatsRegistry: one registry per program, merged in program order,
+// so the telemetry section is identical at any --jobs.
+// --timeline-stride=N adds byte-clock heap samples of the first program's
+// first-fit replay; --trace-out=<file> writes chrome://tracing spans for
+// the run's phases.  --audit-out=<file> and --drift-out=<file> attach the
+// flight recorder and the prediction drift observatory to each program's
+// arena replay and write the lifetime audit and the drift JSON through
+// ObservatoryBench's ArenaForensics, the one writer trace_tool audit/drift
+// and table7_arena_fractions use too, so the files are byte-identical
+// across the three; their headline keys fold into the JSON report.  An
+// unwritable --audit-out, --drift-out or --heatmap-out exits 1.
 //
 // Flags: the common --scale/--seed/--program/--jobs/--json/--trace-out/
-// --audit-out/--timeline-stride, plus --policy (default roving) and
-// --repeat=N (default 3) which replays every trace N times to lengthen
-// the timed region.  --drift-out=<file> attaches the prediction drift
-// observatory to each program's untimed arena replay and writes the
-// windowed drift reports (confusion timelines, CUSUM change points,
-// per-site quantile divergence) as ordered JSON, folding drift.* headline
-// keys into the report; --drift-window=B overrides the auto window width.
+// --audit-out/--drift-out/--drift-window/--timeline-stride/--observe, plus
+// --policy (default roving) and --repeat=N (default 3) which replays every
+// trace N times to lengthen the timed region.
 //
 // Two additional modes exercise the billion-event tier (trace/ScheduleFile
 // + sim/StreamReplay):
@@ -90,9 +90,7 @@
 #include "sim/TenantMux.h"
 #include "sim/TraceSimulator.h"
 #include "support/TableFormatter.h"
-#include "telemetry/DriftObservatory.h"
-#include "telemetry/FlightRecorder.h"
-#include "telemetry/LifetimeAudit.h"
+#include "telemetry/HeapTimeline.h"
 #include "telemetry/TraceEventWriter.h"
 #include "trace/ScheduleFile.h"
 #include "trace/TraceReplayer.h"
@@ -143,16 +141,6 @@ void oracleReplay(const AllocationTrace &Trace,
 constexpr unsigned AllocatorCount = 6;
 const char *const AllocatorNames[AllocatorCount] = {
     "legacy-ff", "oracle-ff", "flat-ff", "bsd", "arena", "multiarena"};
-
-/// The two-band geometry of ablation_multi_arena's "2 bands" case: same
-/// total area as the paper's single band, split.
-const std::vector<uint64_t> MultiArenaThresholds = {16 * 1024, 32 * 1024};
-
-ArenaAllocator::Config multiArenaConfig() {
-  ArenaAllocator::Config Config;
-  Config.Bands = {{32 * 1024, 8}, {32 * 1024, 8}};
-  return Config;
-}
 
 struct Cell {
   uint64_t Events = 0;
@@ -720,12 +708,12 @@ int main(int Argc, char **Argv) {
     All = makeAllTraces(Options, Pool);
   }
 
-  // Train the arena databases up front (outside the timed region).  The
-  // audit pass additionally needs the trained per-site quantiles to score
-  // train-to-test drift, so --audit-out keeps the profiles.
+  // Train the arena databases up front (outside the timed region), and
+  // with --audit-out or --drift-out the trained per-site quantiles the
+  // reports score train-to-test drift against.
   std::vector<SiteDatabase> TrueDBs(All.size());
   std::vector<ClassDatabase> ClassDBs(All.size());
-  std::vector<Profile> TrainProfiles(All.size());
+  ArenaForensics Forensics(Options, All.size());
   {
     TraceSpan Span(TraceWriter.get(), "train");
     parallelForIndex(Pool, All.size(), [&](size_t Index) {
@@ -733,8 +721,7 @@ int main(int Argc, char **Argv) {
       TrueDBs[Index] = trainDatabase(TrainProfile, KeyPolicy);
       ClassDBs[Index] =
           trainClassDatabase(TrainProfile, KeyPolicy, MultiArenaThresholds);
-      if (!Options.AuditOutPath.empty() || !Options.DriftOutPath.empty())
-        TrainProfiles[Index] = std::move(TrainProfile);
+      Forensics.train(Index, All[Index].Test, TrainProfile);
     });
   }
 
@@ -883,142 +870,26 @@ int main(int Argc, char **Argv) {
   StatsRegistry Telemetry;
   HeapTimeline Timeline(Options.TimelineStride);
   BenchObservatory Observatory(Options, All.size());
-  bool Audit = !Options.AuditOutPath.empty();
-  bool Drift = !Options.DriftOutPath.empty();
-  if (!Options.JsonPath.empty() || TraceWriter || Audit || Drift ||
+  if (!Options.JsonPath.empty() || TraceWriter || Forensics.enabled() ||
       Observatory.enabled()) {
     TraceSpan Span(TraceWriter.get(), "instrumented-replays");
     std::vector<StatsRegistry> PerProgram(All.size());
     std::vector<PredictionCounts> ArenaOutcomes(All.size());
-    // One flight recorder per program replay: each records serially inside
-    // its task and is read back in program order below, so the audit output
-    // is bit-identical at any --jobs.
-    std::vector<std::unique_ptr<FlightRecorder>> Recorders(All.size());
-    // One drift observatory per program's arena replay, built and read in
-    // program order — the --drift-out report is bit-identical at any
-    // --jobs.
-    std::vector<std::unique_ptr<DriftObservatory>> DriftObs(All.size());
-    if (Audit) {
-      FlightRecorder::Config RecorderConfig;
-      RecorderConfig.Seed = Options.Seed;
-      for (auto &Recorder : Recorders)
-        Recorder = std::make_unique<FlightRecorder>(RecorderConfig);
-    }
     parallelForIndex(Pool, All.size(), [&](size_t Index) {
       TraceSpan ProgramSpan(TraceWriter.get(), All[Index].Model.Name,
                             "replay");
-      const CompiledTrace &Test = Compiled[Index];
-      SimTelemetry FF;
-      FF.Registry = &PerProgram[Index];
-      if (Index == 0 && Options.TimelineStride > 0)
-        FF.Timeline = &Timeline;
-      Observatory.attach(FF, Index, BenchObservatory::FirstFit);
-      simulateFirstFit(Test, CostModel(), FFConfig, &FF);
-      SimTelemetry Bsd;
-      Bsd.Registry = &PerProgram[Index];
-      Observatory.attach(Bsd, Index, BenchObservatory::Bsd);
-      simulateBsd(Test, CostModel(), BsdAllocator::Config(), &Bsd);
-      SimTelemetry Arena;
-      Arena.Registry = &PerProgram[Index];
-      Arena.Recorder = Recorders[Index].get();
-      if (Drift) {
-        DriftConfig Config;
-        Config.EndClock = Test.schedule().endClock();
-        Config.WindowBytes = Options.DriftWindowBytes;
-        Config.Threshold = TrueDBs[Index].threshold();
-        DriftObs[Index] = std::make_unique<DriftObservatory>(Config);
-        Arena.Drift = DriftObs[Index].get();
-      }
-      Observatory.attach(Arena, Index, BenchObservatory::Arena);
-      simulateArena(Test, TrueDBs[Index], All[Index].Model.CallsPerAlloc,
-                    CostModel(), ArenaAllocator::Config(), &Arena);
-      ArenaOutcomes[Index] = Arena.Outcomes;
-      SimTelemetry Multi;
-      Multi.Registry = &PerProgram[Index];
-      Observatory.attach(Multi, Index, BenchObservatory::Multi);
-      simulateMultiArena(Test, ClassDBs[Index], multiArenaConfig(), &Multi);
+      ArenaOutcomes[Index] = replayFamilies(
+          Index, All[Index], Compiled[Index], TrueDBs[Index], ClassDBs[Index],
+          FFConfig, PerProgram[Index], Observatory, &Forensics,
+          Index == 0 && Options.TimelineStride > 0 ? &Timeline : nullptr);
     });
     for (size_t I = 0; I < All.size(); ++I) {
       Telemetry.merge(PerProgram[I]);
       Report.add(std::string(All[I].Model.Name) + ".arena.pred_accuracy_pct",
                  ArenaOutcomes[I].accuracyPercent());
     }
-    if (Audit) {
-      std::FILE *AuditFile = std::fopen(Options.AuditOutPath.c_str(), "w");
-      if (!AuditFile)
-        std::fprintf(stderr, "warning: cannot write --audit-out=%s\n",
-                     Options.AuditOutPath.c_str());
-      for (size_t I = 0; I < All.size(); ++I) {
-        std::string Name = All[I].Model.Name;
-        TrainedQuantileMap Trained =
-            buildTrainedQuantiles(All[I].Test, TrainProfiles[I], KeyPolicy);
-        AuditReport ProgramAudit =
-            buildAuditReport(*Recorders[I], &Trained, Name + ".arena");
-        if (AuditFile)
-          printAuditReport(ProgramAudit, AuditFile);
-        exportAuditTelemetry(ProgramAudit, Telemetry, "audit." + Name + ".");
-        Report.add(Name + ".audit.wasted_bytes",
-                   static_cast<double>(ProgramAudit.wastedBytes()));
-        Report.add(Name + ".audit.dead_bytes_pinned",
-                   static_cast<double>(ProgramAudit.TotalDeadByteIntegral));
-        if (TraceWriter)
-          emitArenaOccupancy(ProgramAudit, *TraceWriter);
-      }
-      if (AuditFile)
-        std::fclose(AuditFile);
-    }
-    if (Drift) {
-      std::string DriftJson =
-          "{\n  \"schema_version\": 1,\n  \"reports\": [\n";
-      uint64_t TotalWindows = 0;
-      uint64_t TotalChangePoints = 0;
-      bool HaveWorst = false;
-      DriftSiteScore Worst;
-      for (size_t I = 0; I < All.size(); ++I) {
-        std::string Name = All[I].Model.Name;
-        TrainedQuantileMap Trained =
-            buildTrainedQuantiles(All[I].Test, TrainProfiles[I], KeyPolicy);
-        DriftReport ProgramDrift =
-            buildDriftReport(*DriftObs[I], &Trained, Name + ".arena");
-        writeDriftJson(ProgramDrift, DriftJson, "    ");
-        DriftJson += I + 1 != All.size() ? ",\n" : "\n";
-        exportDriftTelemetry(ProgramDrift, Telemetry, "drift." + Name + ".");
-        if (TraceWriter)
-          emitDriftTrack(ProgramDrift, *TraceWriter,
-                         900 + static_cast<unsigned>(I) * 2);
-        TotalWindows += ProgramDrift.Windows.size();
-        TotalChangePoints += ProgramDrift.changePointCount();
-        Report.add(Name + ".drift.windows",
-                   static_cast<double>(ProgramDrift.Windows.size()));
-        Report.add(Name + ".drift.changepoint_count",
-                   static_cast<double>(ProgramDrift.changePointCount()));
-        if (ProgramDrift.hasWorstSite() &&
-            (!HaveWorst || ProgramDrift.worstSite().Score > Worst.Score)) {
-          HaveWorst = true;
-          Worst = ProgramDrift.worstSite();
-        }
-      }
-      DriftJson += "  ]\n}\n";
-      Report.add("drift.windows", static_cast<double>(TotalWindows));
-      Report.add("drift.changepoint_count",
-                 static_cast<double>(TotalChangePoints));
-      if (HaveWorst) {
-        Report.add("drift.worst_site_id", static_cast<double>(Worst.Site));
-        Report.add("drift.worst_site_window",
-                   static_cast<double>(Worst.Window));
-        Report.add("drift.worst_site_score", Worst.Score);
-      }
-      std::FILE *DriftFile = std::fopen(Options.DriftOutPath.c_str(), "w");
-      if (!DriftFile) {
-        std::fprintf(stderr, "warning: cannot write --drift-out=%s\n",
-                     Options.DriftOutPath.c_str());
-      } else {
-        std::fwrite(DriftJson.data(), 1, DriftJson.size(), DriftFile);
-        std::fclose(DriftFile);
-        std::printf("drift JSON written to %s\n",
-                    Options.DriftOutPath.c_str());
-      }
-    }
+    Forensics.writeReports(All, /*Echo=*/false, &Telemetry, &Report,
+                           TraceWriter.get());
     if (Options.TimelineStride > 0) {
       Timeline.exportTelemetry(Telemetry, "timeline.");
       Report.attachTimeline(&Timeline);

@@ -15,21 +15,19 @@
 // observatory instead-or-additionally and writes the windowed drift
 // reports (confusion timelines, CUSUM change points, per-site quantile
 // divergence) as ordered JSON — the same collapse, localized in byte-clock
-// time; --drift-window=B overrides the auto window width.
+// time; --drift-window=B overrides the auto window width.  Both go through
+// ObservatoryBench's ArenaForensics, the writer trace_tool audit/drift and
+// bench_sim_throughput use, so the files are byte-identical across the
+// three; this bench writes only the files.  An unwritable --audit-out,
+// --drift-out or --heatmap-out exits 1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "ObservatoryBench.h"
 
-#include "core/Pipeline.h"
-#include "sim/SimTelemetry.h"
-#include "sim/TraceSimulator.h"
 #include "support/TableFormatter.h"
-#include "telemetry/DriftObservatory.h"
-#include "telemetry/FlightRecorder.h"
 
-#include <cstdio>
 #include <iostream>
 
 using namespace lifepred;
@@ -41,65 +39,16 @@ int main(int Argc, char **Argv) {
               "objects and bytes allocated in arenas (true prediction)",
               Options);
 
-  SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
-
-  std::FILE *AuditFile = nullptr;
-  if (!Options.AuditOutPath.empty()) {
-    AuditFile = std::fopen(Options.AuditOutPath.c_str(), "w");
-    if (!AuditFile)
-      std::fprintf(stderr, "warning: cannot write --audit-out=%s\n",
-                   Options.AuditOutPath.c_str());
-  }
-
   TableFormatter Table({"Program", "Allocs(1000s)", "paperTotal",
                         "Arena%", "paper", "NonArena%", "Bytes(K)",
                         "ArenaBytes%", "paper", "NonArenaBytes%"});
 
-  bool WantDrift = !Options.DriftOutPath.empty();
-  std::string DriftJson = "{\n  \"schema_version\": 1,\n  \"reports\": [\n";
-
   std::vector<ProgramTraces> All = makeAllTraces(Options);
+  ArenaForensics Forensics(Options, All.size());
   for (size_t Index = 0; Index < All.size(); ++Index) {
     const ProgramTraces &Traces = All[Index];
     const PaperProgramData *Paper = paperData(Traces.Model.Name);
-
-    Profile TrainProfile = profileTrace(Traces.Train, Policy);
-    SiteDatabase DB = trainDatabase(TrainProfile, Policy);
-    CompiledTrace Test(Traces.Test, Policy);
-    FlightRecorder::Config RecorderConfig;
-    RecorderConfig.Seed = Options.Seed;
-    FlightRecorder Recorder(RecorderConfig);
-    std::unique_ptr<DriftObservatory> DriftObs;
-    if (WantDrift) {
-      DriftConfig Config;
-      Config.EndClock = Test.schedule().endClock();
-      Config.WindowBytes = Options.DriftWindowBytes;
-      Config.Threshold = DB.threshold();
-      DriftObs = std::make_unique<DriftObservatory>(Config);
-    }
-    SimTelemetry Telemetry;
-    Telemetry.Recorder = AuditFile ? &Recorder : nullptr;
-    Telemetry.Drift = DriftObs.get();
-    bool Instrument = AuditFile || WantDrift;
-    ArenaSimResult Sim =
-        simulateArena(Test, DB, Traces.Model.CallsPerAlloc,
-                      CostModel(), ArenaAllocator::Config(),
-                      Instrument ? &Telemetry : nullptr);
-    if (Instrument) {
-      TrainedQuantileMap Trained =
-          buildTrainedQuantiles(Traces.Test, TrainProfile, Policy);
-      if (AuditFile) {
-        AuditReport Audit = buildAuditReport(
-            Recorder, &Trained, std::string(Traces.Model.Name) + ".arena");
-        printAuditReport(Audit, AuditFile);
-      }
-      if (WantDrift) {
-        DriftReport Drift = buildDriftReport(
-            *DriftObs, &Trained, std::string(Traces.Model.Name) + ".arena");
-        writeDriftJson(Drift, DriftJson, "    ");
-        DriftJson += Index + 1 != All.size() ? ",\n" : "\n";
-      }
-    }
+    ArenaSimResult Sim = Forensics.replayArena(Index, Traces);
 
     uint64_t TotalAllocs = Sim.Arena.ArenaAllocs + Sim.Arena.GeneralAllocs;
     uint64_t TotalBytes = Sim.Arena.ArenaBytes + Sim.Arena.GeneralBytes;
@@ -117,21 +66,7 @@ int main(int Argc, char **Argv) {
   }
 
   Table.print(std::cout);
-  if (AuditFile)
-    std::fclose(AuditFile);
-  if (WantDrift) {
-    DriftJson += "  ]\n}\n";
-    std::FILE *DriftFile = std::fopen(Options.DriftOutPath.c_str(), "w");
-    if (!DriftFile) {
-      std::fprintf(stderr, "warning: cannot write --drift-out=%s\n",
-                   Options.DriftOutPath.c_str());
-    } else {
-      std::fwrite(DriftJson.data(), 1, DriftJson.size(), DriftFile);
-      std::fclose(DriftFile);
-      std::printf("drift JSON written to %s\n",
-                  Options.DriftOutPath.c_str());
-    }
-  }
+  Forensics.writeReports(All, /*Echo=*/false);
   if (Options.Observe) {
     ThreadPool Pool(Options.Jobs);
     StatsRegistry ObservatoryRegistry;

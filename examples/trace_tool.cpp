@@ -72,9 +72,15 @@
 //       JSON (same shape as the ablation bench's CI artifact),
 //       --trace-out chrome://tracing retrain instant events.
 //
+// audit, drift and heatmap write their reports through bench/
+// ObservatoryBench, the observatory driver the benches share, so the files
+// match the benches' byte for byte.  An unwritable --audit-out, --drift-out
+// or --heatmap-out prints "error: cannot write --<flag>=<path>" and exits 1.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "ObservatoryBench.h"
 
 #include "core/GeneratedAllocator.h"
 #include "core/Pipeline.h"
@@ -84,8 +90,6 @@
 #include "sim/SimTelemetry.h"
 #include "sim/TraceSimulator.h"
 #include "support/CommandLine.h"
-#include "telemetry/DriftObservatory.h"
-#include "telemetry/FlightRecorder.h"
 #include "telemetry/FragmentationProbe.h"
 #include "telemetry/HeapHeatmap.h"
 #include "telemetry/LatencyRecorder.h"
@@ -149,194 +153,45 @@ int usage() {
   return 1;
 }
 
-/// The audit subcommand: the Table 7 train/test workload replayed through
-/// the predicting arena simulator with a flight recorder attached.  One
-/// recorder per program, read back in program order, so the report is
-/// bit-identical at any --jobs.
-int runAudit(const CommandLine &Cl, const std::string &Target) {
+/// The audit and drift subcommands: the Table 7 train/test workload
+/// replayed through the predicting arena simulator with a flight recorder
+/// (audit) or the prediction drift observatory (drift) attached.  The
+/// reports are built and printed in program order, so they are
+/// bit-identical at any --jobs, and they come from the writer the benches'
+/// --audit-out/--drift-out use.
+int runArenaReport(const CommandLine &Cl, const std::string &Command,
+                   const std::string &Target) {
   BenchOptions Options = BenchOptions::fromCommandLine(Cl);
   if (Target != "all") {
     requireProgram(Target, Target);
     Options.OnlyProgram = Target;
   }
 
-  SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
   ThreadPool Pool(Options.Jobs);
   std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
 
   std::unique_ptr<TraceEventWriter> TraceWriter = makeTraceWriter(Options);
-  JsonReport Report("audit", Options);
-
-  std::vector<Profile> TrainProfiles(All.size());
-  std::vector<SiteDatabase> DBs(All.size());
+  JsonReport Report(Command, Options);
+  ArenaForensics Forensics(Options, All.size(), Command == "audit",
+                           Command == "drift");
   std::vector<StatsRegistry> PerProgram(All.size());
-  std::vector<std::unique_ptr<FlightRecorder>> Recorders(All.size());
-  FlightRecorder::Config RecorderConfig;
-  RecorderConfig.Seed = Options.Seed;
-  for (auto &Recorder : Recorders)
-    Recorder = std::make_unique<FlightRecorder>(RecorderConfig);
 
   uint64_t Events = 0;
   for (const ProgramTraces &Traces : All)
     Events += replayEventCount(Traces.Test);
   double Start = wallTimeSeconds();
   parallelForIndex(Pool, All.size(), [&](size_t Index) {
-    TrainProfiles[Index] = profileTrace(All[Index].Train, Policy);
-    DBs[Index] = trainDatabase(TrainProfiles[Index], Policy);
-    SimTelemetry Telemetry;
-    Telemetry.Registry = &PerProgram[Index];
-    Telemetry.Recorder = Recorders[Index].get();
-    simulateArena(CompiledTrace(All[Index].Test, Policy), DBs[Index],
-                  All[Index].Model.CallsPerAlloc, CostModel(),
-                  ArenaAllocator::Config(), &Telemetry);
+    Forensics.replayArena(Index, All[Index], &PerProgram[Index]);
   });
   Report.setThroughput(Events, wallTimeSeconds() - Start);
 
-  std::FILE *AuditFile = nullptr;
-  if (!Options.AuditOutPath.empty()) {
-    AuditFile = std::fopen(Options.AuditOutPath.c_str(), "w");
-    if (!AuditFile)
-      std::fprintf(stderr, "warning: cannot write --audit-out=%s\n",
-                   Options.AuditOutPath.c_str());
-  }
-
   StatsRegistry Telemetry;
-  for (size_t I = 0; I < All.size(); ++I) {
-    std::string Name = All[I].Model.Name;
-    Telemetry.merge(PerProgram[I]);
-    TrainedQuantileMap Trained =
-        buildTrainedQuantiles(All[I].Test, TrainProfiles[I], Policy);
-    AuditReport Audit =
-        buildAuditReport(*Recorders[I], &Trained, Name + ".arena");
-    printAuditReport(Audit, stdout);
-    if (AuditFile)
-      printAuditReport(Audit, AuditFile);
-    exportAuditTelemetry(Audit, Telemetry, "audit." + Name + ".");
-    Report.add(Name + ".audit.wasted_bytes",
-               static_cast<double>(Audit.wastedBytes()));
-    Report.add(Name + ".audit.dead_bytes_pinned",
-               static_cast<double>(Audit.TotalDeadByteIntegral));
-    Report.add(Name + ".audit.false_short",
-               static_cast<double>(Audit.FalseShort));
-    Report.add(Name + ".audit.pinned_episodes",
-               static_cast<double>(Audit.PinnedEpisodes));
-    if (TraceWriter)
-      emitArenaOccupancy(Audit, *TraceWriter);
-  }
-  if (AuditFile)
-    std::fclose(AuditFile);
+  for (StatsRegistry &Program : PerProgram)
+    Telemetry.merge(Program);
+  Forensics.writeReports(All, /*Echo=*/true, &Telemetry, &Report,
+                         TraceWriter.get());
   Report.attachTelemetry(&Telemetry);
   Report.write();
-  if (TraceWriter)
-    TraceWriter->close();
-  return 0;
-}
-
-/// The drift subcommand: the Table 7 train/test workload scored window by
-/// window.  One observatory per program, reports printed and exported in
-/// program order, so output is bit-identical at any --jobs.
-int runDrift(const CommandLine &Cl, const std::string &Target) {
-  BenchOptions Options = BenchOptions::fromCommandLine(Cl);
-  if (Target != "all") {
-    requireProgram(Target, Target);
-    Options.OnlyProgram = Target;
-  }
-
-  SiteKeyPolicy Policy = SiteKeyPolicy::completeChain();
-  ThreadPool Pool(Options.Jobs);
-  std::vector<ProgramTraces> All = makeAllTraces(Options, Pool);
-
-  std::unique_ptr<TraceEventWriter> TraceWriter = makeTraceWriter(Options);
-  JsonReport Report("drift", Options);
-
-  std::vector<Profile> TrainProfiles(All.size());
-  std::vector<StatsRegistry> PerProgram(All.size());
-  std::vector<std::unique_ptr<DriftObservatory>> Observatories(All.size());
-
-  uint64_t Events = 0;
-  for (const ProgramTraces &Traces : All)
-    Events += replayEventCount(Traces.Test);
-  double Start = wallTimeSeconds();
-
-  parallelForIndex(Pool, All.size(), [&](size_t Index) {
-    TrainProfiles[Index] = profileTrace(All[Index].Train, Policy);
-    SiteDatabase DB = trainDatabase(TrainProfiles[Index], Policy);
-    CompiledTrace Compiled(All[Index].Test, Policy);
-    DriftConfig Config;
-    Config.EndClock = Compiled.schedule().endClock();
-    Config.WindowBytes = Options.DriftWindowBytes;
-    Config.Threshold = DB.threshold();
-    Observatories[Index] = std::make_unique<DriftObservatory>(Config);
-    SimTelemetry Telemetry;
-    Telemetry.Registry = &PerProgram[Index];
-    Telemetry.Drift = Observatories[Index].get();
-    simulateArena(Compiled, DB, All[Index].Model.CallsPerAlloc, CostModel(),
-                  ArenaAllocator::Config(), &Telemetry);
-  });
-  Report.setThroughput(Events, wallTimeSeconds() - Start);
-
-  std::string DriftJson = "{\n  \"schema_version\": 1,\n  \"reports\": [\n";
-  StatsRegistry Telemetry;
-  uint64_t TotalWindows = 0;
-  uint64_t TotalChangePoints = 0;
-  bool HaveWorst = false;
-  DriftSiteScore Worst;
-  for (size_t I = 0; I < All.size(); ++I) {
-    const std::string &Name = All[I].Model.Name;
-    Telemetry.merge(PerProgram[I]);
-    TrainedQuantileMap Trained =
-        buildTrainedQuantiles(All[I].Test, TrainProfiles[I], Policy);
-    DriftReport Drift =
-        buildDriftReport(*Observatories[I], &Trained, Name + ".arena");
-    printDriftReport(Drift, stdout);
-    writeDriftJson(Drift, DriftJson, "    ");
-    DriftJson += I + 1 != All.size() ? ",\n" : "\n";
-    exportDriftTelemetry(Drift, Telemetry, "drift." + Name + ".");
-    if (TraceWriter)
-      emitDriftTrack(Drift, *TraceWriter,
-                     900 + static_cast<unsigned>(I) * 2);
-    TotalWindows += Drift.Windows.size();
-    TotalChangePoints += Drift.changePointCount();
-    Report.add(Name + ".drift.windows",
-               static_cast<double>(Drift.Windows.size()));
-    Report.add(Name + ".drift.changepoint_count",
-               static_cast<double>(Drift.changePointCount()));
-    Report.add(Name + ".drift.accuracy_mean_ppm",
-               static_cast<double>(Drift.MeanAccuracyPpm));
-    Report.add(Name + ".drift.pinned_bytes",
-               static_cast<double>(Drift.PinnedBytes));
-    if (Drift.hasWorstSite()) {
-      Report.add(Name + ".drift.worst_site_score", Drift.worstSite().Score);
-      if (!HaveWorst || Drift.worstSite().Score > Worst.Score) {
-        HaveWorst = true;
-        Worst = Drift.worstSite();
-      }
-    }
-  }
-  DriftJson += "  ]\n}\n";
-  Report.add("drift.windows", static_cast<double>(TotalWindows));
-  Report.add("drift.changepoint_count",
-             static_cast<double>(TotalChangePoints));
-  if (HaveWorst) {
-    Report.add("drift.worst_site_id", static_cast<double>(Worst.Site));
-    Report.add("drift.worst_site_window",
-               static_cast<double>(Worst.Window));
-    Report.add("drift.worst_site_score", Worst.Score);
-  }
-  Report.attachTelemetry(&Telemetry);
-  Report.write();
-
-  if (!Options.DriftOutPath.empty()) {
-    std::FILE *File = std::fopen(Options.DriftOutPath.c_str(), "w");
-    if (!File) {
-      std::fprintf(stderr, "error: cannot write --drift-out=%s\n",
-                   Options.DriftOutPath.c_str());
-      return 1;
-    }
-    std::fwrite(DriftJson.data(), 1, DriftJson.size(), File);
-    std::fclose(File);
-    std::printf("drift JSON written to %s\n", Options.DriftOutPath.c_str());
-  }
   if (TraceWriter)
     TraceWriter->close();
   return 0;
@@ -598,21 +453,8 @@ int runHeatmap(const CommandLine &Cl, const std::string &Source) {
     Report.attachTelemetry(&Registry);
     Report.write();
   }
-  if (!Options.HeatmapOutPath.empty()) {
-    std::string Out;
-    Map.writeJson(Out, "");
-    Out += "\n";
-    std::FILE *File = std::fopen(Options.HeatmapOutPath.c_str(), "w");
-    if (!File) {
-      std::fprintf(stderr, "error: cannot write --heatmap-out=%s\n",
-                   Options.HeatmapOutPath.c_str());
-      return 1;
-    }
-    std::fwrite(Out.data(), 1, Out.size(), File);
-    std::fclose(File);
-    std::printf("heatmap JSON written to %s\n",
-                Options.HeatmapOutPath.c_str());
-  }
+  if (!Options.HeatmapOutPath.empty())
+    writeHeatmapFile(Map, Options.HeatmapOutPath);
   if (std::unique_ptr<TraceEventWriter> Writer = makeTraceWriter(Options)) {
     Map.exportTrace(*Writer);
     Writer->close();
@@ -656,16 +498,10 @@ int main(int Argc, char **Argv) {
     return usage();
   const std::string &Command = Args[0];
 
-  if (Command == "audit") {
+  if (Command == "audit" || Command == "drift") {
     if (Args.size() != 2)
       return usage();
-    return runAudit(Cl, Args[1]);
-  }
-
-  if (Command == "drift") {
-    if (Args.size() != 2)
-      return usage();
-    return runDrift(Cl, Args[1]);
+    return runArenaReport(Cl, Command, Args[1]);
   }
 
   if (Command == "heatmap") {

@@ -210,16 +210,18 @@ DriftReport lifepred::buildDriftReport(const DriftObservatory &Obs,
     Scored.push_back(S);
     ++R.ScoredSiteWindows;
   }
-  std::sort(Scored.begin(), Scored.end(),
-            [](const DriftSiteScore &A, const DriftSiteScore &B) {
-              if (A.Score != B.Score)
-                return A.Score > B.Score;
-              if (A.Site != B.Site)
-                return A.Site < B.Site;
-              return A.Window < B.Window;
-            });
-  if (Scored.size() > Options.TopSites)
-    Scored.resize(Options.TopSites);
+  // (site, window) pairs are unique, so the order is strict and the top
+  // rows are the ones a full sort would keep.
+  const size_t Top = std::min<size_t>(Scored.size(), Options.TopSites);
+  std::partial_sort(Scored.begin(), Scored.begin() + Top, Scored.end(),
+                    [](const DriftSiteScore &A, const DriftSiteScore &B) {
+                      if (A.Score != B.Score)
+                        return A.Score > B.Score;
+                      if (A.Site != B.Site)
+                        return A.Site < B.Site;
+                      return A.Window < B.Window;
+                    });
+  Scored.resize(Top);
   R.TopSites = std::move(Scored);
   return R;
 }
